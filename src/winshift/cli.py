@@ -32,13 +32,6 @@ from .words import format_choices, format_word, parse_choices
 _SYNC_CAP_ENV = "WINSHIFT_SYNC_CAP"
 
 
-def _sync_cap(args) -> int | None:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get(_SYNC_CAP_ENV)
-    return int(env) if env else None
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -102,7 +95,7 @@ def cmd_language(args) -> int:
 
 def cmd_syncdelay(args) -> int:
     subst, _ = _resolve(args)
-    result = sync_delay(subst, _sync_cap(args))
+    result = sync_delay(subst, args.cap)
     witness = (
         format_word(result.witness, subst.size) if result.witness is not None else None
     )
@@ -164,7 +157,7 @@ def cmd_winset(args) -> int:
 def cmd_winshift(args) -> int:
     subst, _ = _resolve(args)
     if args.table:
-        low, high = _parse_range(args.table)
+        low, high = args.table
         for n in range(low, high + 1):
             rows = shift.enumerate_irreducible(subst, n, args.method)
             for row in compress(rows, subst.size):
@@ -481,11 +474,21 @@ def strategy_to_dot(tree: StrategyTree, alphabet_size: int) -> str:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        low, high = text.split("..")
-        return int(low), int(high)
-    value = int(text)
-    return 1, value
+    """``A..B`` as (A, B), or a bare ``B`` as (1, B); argparse reports a bad one."""
+    low, dots, high = text.partition("..")
+    try:
+        return (int(low), int(high)) if dots else (1, int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A..B or B, got {text!r}") from None
+
+
+def _parse_cap(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from --cap or ${_SYNC_CAP_ENV}, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("syncdelay", help="synchronization delay and witness")
     add_subst(p)
-    p.add_argument("--cap", type=int, default=None)
+    # argparse converts a string default with ``type``, so a malformed
+    # environment value is a usage error like a malformed --cap
+    p.add_argument(
+        "--cap",
+        type=_parse_cap,
+        default=os.environ.get(_SYNC_CAP_ENV) or None,
+        help=f"length cap of the search (default: ${_SYNC_CAP_ENV}, else a built-in bound)",
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_syncdelay)
 
@@ -536,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int)
     p.add_argument("--method", choices=("auto", "brute", "substitutive"), default="auto")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--table", metavar="A..B", default=None)
+    p.add_argument("--table", metavar="A..B", type=_parse_range, default=None)
     p.set_defaults(handler=cmd_winshift)
 
     p = sub.add_parser("delta", help="first difference of the factor complexity")

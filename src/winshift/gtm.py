@@ -73,18 +73,10 @@ def gtm_letter(b: int, m: int, n: int) -> int:
 
 
 def gtm_q(b: int, m: int) -> int:
-    """Order of the final-letter rotation, arithmetically and by iteration."""
+    """Order of the final-letter rotation k -> k + b - 1 on Z_m: m / gcd(m, b - 1)."""
     if b < 2 or m < 1:
         raise PreconditionError("need base >= 2 and modulus >= 1")
-    q = m // gcd(m, b - 1)
-    x = (b - 1) % m
-    steps = 1
-    while x != 0:
-        x = (x + b - 1) % m
-        steps += 1
-    if steps != q:
-        raise InternalConsistencyError("rotation order disagrees with gcd arithmetic")
-    return q
+    return m // gcd(m, b - 1)
 
 
 def gtm_factors(b: int, m: int, n: int) -> frozenset[Word]:

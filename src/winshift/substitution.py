@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import (
     ConstructionError,
-    InternalConsistencyError,
     PreconditionError,
     UnsupportedInputError,
 )
@@ -152,7 +150,6 @@ class FactorLanguage:
 
     n: int
     words: tuple[Word, ...]
-    stabilized: bool
 
     @cached_property
     def word_set(self) -> frozenset[Word]:
@@ -166,13 +163,50 @@ class FactorLanguage:
 
 
 @lru_cache(maxsize=None)
+def _two_letter_factors(subst: Substitution) -> frozenset[Word]:
+    """``L_2``: the closure of the two-letter factors of the images under σ.
+
+    A two-letter factor of ``σ^{j+1}(c)`` lies inside one image ``σ(a)``
+    or straddles ``σ(a)σ(b)`` for a factor ``ab`` of ``σ^j(c)``, so the
+    closure is exactly ``L_2``; it has at most ``s²`` words.
+    """
+    found: set[Word] = set()
+    todo = [w for img in subst.images for w in factors(img, 2)]
+    while todo:
+        w = todo.pop()
+        if w not in found:
+            found.add(w)
+            todo.extend(factors(subst.apply(w), 2))
+    return frozenset(found)
+
+
+@lru_cache(maxsize=None)
 def language(subst: Substitution, n: int) -> FactorLanguage:
     """All length-``n`` factors of the subshift generated by a primitive substitution.
 
-    Starting from factor sets of iterated images, the map "apply the
-    substitution, collect length-n factors" is iterated until the set is
-    stable between rounds and a depth floor has been passed.  For a
-    primitive substitution the limit is exactly the factor language.
+    Let k be least with ``|σ^k(a)| >= n - 1`` for every letter a; the
+    block lengths themselves fix k, so images of length one need no
+    special care.  Then ``L_n`` is the set of length-n windows of
+    ``σ^k(a)σ^k(b)`` that start inside ``σ^k(a)``, over the two-letter
+    factors ``ab`` in ``L_2``.  It is built in one pass:
+
+    - Every such window fits, since ``|σ^k(b)| >= n - 1``, and is a factor
+      of the subshift: ``ab`` is a factor of some ``σ^j(c)``, so
+      ``σ^k(ab)`` is one of ``σ^{j+k}(c)``.
+    - Conversely let u in ``L_n`` be a factor of ``σ^K(c)``.  Primitivity
+      puts c inside ``σ^p(c)`` for some p >= 1, so u is also a factor of
+      ``σ^{K+tp}(c)`` for every t; take ``K >= k``.  Then ``σ^K(c)`` is the
+      concatenation of the level-k blocks ``σ^k(d)`` over the letters d of
+      ``σ^{K-k}(c)``.  Each block has length at least n - 1, so u touches
+      at most two of them (a third would need n >= (n - 1) + 2).  If u
+      starts in ``σ^k(d)`` and d is followed by e, then ``de`` is in
+      ``L_2`` and u is a window of ``σ^k(d)σ^k(e)`` starting in
+      ``σ^k(d)``.  If d is the last letter of ``σ^{K-k}(c)``, u lies inside
+      ``σ^k(d)`` and any ``de`` in ``L_2`` serves.  One exists: some
+      image has length two or more, ``σ(a) = xy...``, and primitivity
+      puts d inside ``σ^p(x)``, followed by ``σ^p(y)`` in ``σ^{p+1}(a)``.
+
+    Words are returned sorted.
     """
     if n < 0:
         raise PreconditionError("factor length must be nonnegative")
@@ -180,28 +214,14 @@ def language(subst: Substitution, n: int) -> FactorLanguage:
         raise UnsupportedInputError(
             "factor language computation requires a primitive substitution"
         )
-    if n == 0:
-        return FactorLanguage(0, ((),), True)
-    current: set[Word] = set()
-    for s in subst.letters:
-        w: Word = (s,)
-        while len(w) < n:
-            grown = subst.apply(w)
-            if len(grown) == len(w):
-                raise InternalConsistencyError("image iteration stopped growing")
-            w = grown
-        current |= factors(w, n)
-    shortest = min(len(img) for img in subst.images)
-    min_rounds = math.ceil(math.log(max(n, 2), max(2, shortest))) + 2
-    rounds = 0
-    while True:
-        grown_set = set(current)
-        for w in current:
-            grown_set |= factors(subst.apply(w), n)
-        rounds += 1
-        if grown_set == current and rounds >= min_rounds:
-            return FactorLanguage(n, tuple(sorted(current)), True)
-        current = grown_set
+    blocks = [(a,) for a in subst.letters]
+    while min(len(block) for block in blocks) < n - 1:
+        blocks = [subst.apply(block) for block in blocks]
+    found: set[Word] = set()
+    for a, b in _two_letter_factors(subst):
+        pair = blocks[a] + blocks[b]
+        found.update(pair[i:i + n] for i in range(len(blocks[a])))
+    return FactorLanguage(n, tuple(sorted(found)))
 
 
 @dataclass(frozen=True)
@@ -222,8 +242,11 @@ def periodicity_probe(subst: Substitution, n_max: int | None = None) -> Periodic
     """Detect periodicity via a stalling complexity function.
 
     The subshift of a primitive substitution is periodic iff the number
-    of length-n factors is the same at two consecutive lengths; this
-    scans lengths up to the bound and reports the first stall.
+    of length-n factors is the same at two consecutive lengths (Morse and
+    Hedlund).  This compares ``len(language(subst, n))`` for consecutive
+    n up to the bound and reports the first stall; each length is one
+    exact pass of :func:`language`, so the answer is certain for every
+    length scanned and says nothing about longer ones.
     """
     if not subst.primitive:
         raise UnsupportedInputError("periodicity probe requires a primitive substitution")

@@ -120,6 +120,21 @@ def test_usage_errors(capsys):
     assert main(["verify"]) == 2
 
 
+def test_malformed_values_are_usage_errors(capsys, monkeypatch):
+    for bad in ("5..x", "x", "5..6..7"):
+        assert main(["winshift", "--subst", "tm", "--table", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --table: expected A..B or B" in captured.err
+    monkeypatch.setenv("WINSHIFT_SYNC_CAP", "abc")
+    assert main(["syncdelay", "--subst", "tm"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "WINSHIFT_SYNC_CAP, got 'abc'" in captured.err
+    code, out = run(capsys, "syncdelay", "--subst", "tm", "--cap", "10")
+    assert (code, out.splitlines()[0]) == (0, "L = 4")  # --cap wins over the variable
+
+
 def test_verify_command(capsys):
     code, out = run(capsys, "verify", "--subst", "tm", "--depth", "8")
     assert code == 0

@@ -28,6 +28,13 @@ def test_params_and_q():
     assert gtm_q(2, 3) == 3
     assert gtm_q(4, 2) == 2
     assert gtm_q(3, 3) == 3
+    # q is the least q >= 1 with q (b - 1) = 0 in Z_m: iterate the rotation
+    for b in range(2, 13):
+        for m in range(1, 25):
+            x, steps = (b - 1) % m, 1
+            while x != 0:
+                x, steps = (x + b - 1) % m, steps + 1
+            assert gtm_q(b, m) == steps, (b, m)
     assert gtm_params(6, 4).q == 4
     assert gtm_params(2, 2).aperiodic
 

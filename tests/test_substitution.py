@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from winshift import (
     ConstructionError,
     PreconditionError,
     UnsupportedInputError,
+    builtin_substitution,
     factors,
     fixed_point_prefix,
     language,
@@ -108,6 +110,62 @@ def test_language_matches_long_prefix_scan(tm, ex42):
         prefix = fixed_point_prefix(subst, 0, 600)
         for n in range(1, 7):
             assert set(language(subst, n).words) == factors(prefix, n)
+
+
+def test_language_with_length_one_images():
+    # primitive, but some image has length one: 0 -> 01, 1 -> 0 is Fibonacci
+    for images in ([(0, 1), (0,)], [(0, 1, 2), (2,), (1, 0)]):
+        subst = make_substitution(images)
+        prefix = fixed_point_prefix(subst, 0, 20000)
+        for n in range(1, 41):
+            assert set(language(subst, n).words) == factors(prefix, n), (images, n)
+
+
+def reference_language(subst, n):
+    """Length-n factors by iterating "apply σ, collect factors" until stable.
+
+    Starts from the factors of the first iterated image of each letter that
+    reaches length n, and stops once the set is stable and a floor of
+    ceil(log_M n) + 2 rounds has passed, M the shortest image length.
+    Needs every image to have length at least two.
+    """
+    if n == 0:
+        return ((),)
+    current = set()
+    for s in subst.letters:
+        w = (s,)
+        while len(w) < n:
+            w = subst.apply(w)
+        current |= factors(w, n)
+    shortest = min(len(img) for img in subst.images)
+    min_rounds = math.ceil(math.log(max(n, 2), max(2, shortest))) + 2
+    rounds = 0
+    while True:
+        grown = set(current)
+        for w in current:
+            grown |= factors(subst.apply(w), n)
+        rounds += 1
+        if grown == current and rounds >= min_rounds:
+            return tuple(sorted(current))
+        current = grown
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        pytest.param(builtin_substitution(name).images, id=name)
+        for name in ("tm", "ex42", "ex46", "gtm:2,3", "gtm:3,3", "gtm:4,2")
+    ]
+    + [
+        pytest.param([(0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0)], id="perm4"),
+        pytest.param([(0, 0, 1), (1, 0, 2), (2, 1, 0)], id="marked3"),
+        pytest.param([(0, 1), (0, 1)], id="periodic-twin"),  # fixed point (01)^w
+    ],
+)
+def test_language_matches_iterated_reference(images):
+    subst = make_substitution(images)
+    for n in range(31):
+        assert language(subst, n).words == reference_language(subst, n), n
 
 
 def test_language_factor_closed(tm, ex42, gtm33):
