@@ -17,7 +17,7 @@ from . import complexity as cx
 from . import gtm as gtm_mod
 from . import shift
 from .catalog import resolve_substitution, substitution_to_dict
-from .errors import WinshiftError
+from .errors import CapExceededError, PeriodicInputError, WinshiftError
 from .game import StrategyTree, member, winning_set, winning_set_cardinality
 from .recognizability import sync_delay
 from .substitution import (
@@ -595,6 +595,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    try:
+        return args.handler(args)
+    except CapExceededError:
+        # A periodic subshift never synchronizes, so a larger cap cannot
+        # help; the probe runs on this failure path only.
+        subst = _resolve(args)[0] if getattr(args, "subst", None) else None
+        if subst is not None and subst.primitive:
+            probe = periodicity_probe(subst)
+            if probe.periodic:
+                raise PeriodicInputError(
+                    "the substitution is periodic: its factor complexity stalls "
+                    f"at length {probe.detected_at}, so no cap can help"
+                ) from None
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -608,7 +625,7 @@ def main(argv=None) -> int:
         sys.stderr.write("error: verify needs --subst or both --b and --m\n")
         return 2
     try:
-        return args.handler(args)
+        return _run(args)
     except WinshiftError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -7,13 +7,19 @@ in the target.  ``winning_set`` computes the full downward closed set of
 winning choice sequences; ``member`` produces a strategy tree or a
 refutation, both replayable certificates.
 
-The solver recursion is on left quotients of the target ("what is still
-needed after a first letter").  Quotients of subshift languages collapse
-onto follower sets, so memoizing on the quotient keeps the search small.
+The solver works on the minimal acyclic automaton of the target (Revuz
+1992; Daciuk et al. 2000), built once per target: its states are exactly
+the distinct left quotients ("what is still needed after a prefix"), so
+the winning set of each quotient is computed once, bottom-up by remaining
+length, and strategies and refutations walk the one transition table.
+Quotients of subshift languages collapse onto follower sets, so the
+automaton stays small.  Maximal winning sequences are found by testing
+one-letter raises, which is exact for a downward closed set.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -46,23 +52,63 @@ def residual(X, c: int) -> frozenset[Word]:
     return frozenset(w[1:] for w in _as_target(X) if w and w[0] == c)
 
 
+_DEAD, _ACCEPT = 0, 1
+
+
+@dataclass(frozen=True)
+class _Automaton:
+    """Minimal acyclic DFA of a target, with the winning set of every state.
+
+    State 0 is the empty quotient (no letter leads anywhere) and state 1
+    the quotient {()}; every other state is one distinct nonempty left
+    quotient.  Ids grow bottom-up, so a state's children have smaller ids.
+    ``delta[q]`` maps letters to children in ascending letter order.
+    """
+
+    root: int
+    delta: tuple[dict[int, int], ...]
+    wins: tuple[frozenset[ChoiceSequence], ...]
+
+    def child(self, state: int, c: int) -> int:
+        return self.delta[state].get(c, _DEAD)
+
+
 @lru_cache(maxsize=None)
-def _members(target: frozenset[Word]) -> frozenset[ChoiceSequence]:
-    # Backward induction: k.b wins iff b wins the quotient game for at
-    # least k distinct first letters.  The empty game is won exactly when
-    # the target is {empty word}.
+def _automaton(target: frozenset[Word]) -> _Automaton:
+    delta: list[dict[int, int]] = [{}, {}]
+    wins: list[frozenset[ChoiceSequence]] = [frozenset(), frozenset({()})]
     if not target:
-        return frozenset()
-    if _target_length(target) == 0:
-        return frozenset({()})
-    counts: dict[ChoiceSequence, int] = {}
-    for c in sorted({w[0] for w in target}):
-        sub = _members(frozenset(w[1:] for w in target if w[0] == c))
-        for beta in sub:
-            counts[beta] = counts.get(beta, 0) + 1
-    return frozenset(
-        (t,) + beta for beta, k in counts.items() for t in range(1, k + 1)
-    )
+        return _Automaton(_DEAD, tuple(delta), tuple(wins))
+    # Minimise the trie of the target bottom-up: ``level`` maps the
+    # prefixes of one length to their states.  A state's signature is its
+    # sorted (letter, child) pairs, and two prefixes have the same quotient
+    # iff their signatures agree; the empty signature is the accepting state.
+    register: dict[tuple[tuple[int, int], ...], int] = {}
+    level: dict[Word, int] = dict.fromkeys(target, _ACCEPT)
+    for _ in range(_target_length(target)):
+        edges: dict[Word, list[tuple[int, int]]] = {}
+        for prefix, state in level.items():
+            edges.setdefault(prefix[:-1], []).append((prefix[-1], state))
+        level = {}
+        for prefix, pairs in edges.items():
+            signature = tuple(sorted(pairs))
+            state = register.get(signature)
+            if state is None:
+                state = register[signature] = len(delta)
+                delta.append(dict(signature))
+                # Backward induction: k.b wins iff b wins the quotient game
+                # for at least k distinct first letters.
+                counts = Counter(beta for _, q in signature for beta in wins[q])
+                wins.append(
+                    frozenset((t,) + beta for beta, k in counts.items() for t in range(1, k + 1))
+                )
+            level[prefix] = state
+    return _Automaton(level[()], tuple(delta), tuple(wins))
+
+
+def _members(target: frozenset[Word]) -> frozenset[ChoiceSequence]:
+    automaton = _automaton(target)
+    return automaton.wins[automaton.root]
 
 
 def winning_members(X) -> frozenset[ChoiceSequence]:
@@ -105,8 +151,15 @@ def winning_set(X, expansion_threshold: int = 16) -> WinningSet:
 
 
 def _antichain(members: frozenset[ChoiceSequence]) -> tuple[ChoiceSequence, ...]:
+    # members is downward closed: if a < b for a member b, raising a by one
+    # at a position where it lies below b stays <= b, so that raise is a
+    # member.  Hence a is maximal iff none of its one-letter raises is.
     return tuple(
-        sorted(a for a in members if not any(a != b and le(a, b) for b in members))
+        sorted(
+            a
+            for a in members
+            if not any(a[:i] + (a[i] + 1,) + a[i + 1:] in members for i in range(len(a)))
+        )
     )
 
 
@@ -132,10 +185,9 @@ def max_first_choice(X, u, alphabet_size: int | None = None) -> tuple[int, tuple
     if target and len(u) != _target_length(target) - 1:
         raise PreconditionError("suffix must be one letter shorter than the target words")
     size = _infer_alphabet(target, alphabet_size)
+    automaton = _automaton(target)
     winners = tuple(
-        c
-        for c in range(size)
-        if u in _members(frozenset(w[1:] for w in target if w and w[0] == c))
+        c for c in range(size) if u in automaton.wins[automaton.child(automaton.root, c)]
     )
     return len(winners), winners
 
@@ -186,64 +238,69 @@ def member(X, alpha, alphabet_size: int | None = None) -> MemberResult:
     for k in alpha:
         if not 1 <= k <= size:
             raise PreconditionError(f"choice letter {k} outside 1..{size}")
-    if alpha in _members(target):
-        return MemberResult(True, strategy=_strategy(target, alpha))
-    return MemberResult(False, refutation=_refutation(target, alpha, size))
+    automaton = _automaton(target)
+    if alpha in automaton.wins[automaton.root]:
+        return MemberResult(True, strategy=_strategy(automaton, alpha))
+    return MemberResult(False, refutation=_refutation(automaton, alpha, size))
 
 
-def _strategy(target: frozenset[Word], alpha: ChoiceSequence) -> StrategyTree:
+def _strategy(automaton: _Automaton, alpha: ChoiceSequence) -> StrategyTree:
     # Deterministic extraction: offer the lexicographically least subset
-    # of letters whose quotient game stays winning.
-    if not alpha:
-        return StrategyTree(())
-    rest = alpha[1:]
-    offer: list[int] = []
-    quotients: dict[int, frozenset[Word]] = {}
-    for c in sorted({w[0] for w in target}):
-        quotient = frozenset(w[1:] for w in target if w[0] == c)
-        if rest in _members(quotient):
-            offer.append(c)
-            quotients[c] = quotient
-            if len(offer) == alpha[0]:
-                break
-    if len(offer) < alpha[0]:
-        raise InternalConsistencyError("strategy extraction on a losing sequence")
-    return StrategyTree(
-        tuple(offer), {c: _strategy(quotients[c], rest) for c in offer}
-    )
+    # of letters whose quotient game stays winning.  Nodes are filled from
+    # a stack, so long games do not recurse.
+    rests = [alpha[i + 1:] for i in range(len(alpha))]
+    root = StrategyTree(())
+    stack = [(root, automaton.root, 0)]
+    while stack:
+        node, state, i = stack.pop()
+        if i == len(alpha):
+            continue
+        offer: list[tuple[int, int]] = []
+        for c, child in automaton.delta[state].items():
+            if rests[i] in automaton.wins[child]:
+                offer.append((c, child))
+                if len(offer) == alpha[i]:
+                    break
+        if len(offer) < alpha[i]:
+            raise InternalConsistencyError("strategy extraction on a losing sequence")
+        node.offer = tuple(c for c, _ in offer)
+        for c, child in offer:
+            node.children[c] = StrategyTree(())
+            stack.append((node.children[c], child, i + 1))
+    return root
 
 
-def _refutation(target: frozenset[Word], alpha: ChoiceSequence, size: int) -> Refutation:
-    memo: dict[tuple[frozenset[Word], ChoiceSequence], Refutation] = {}
+def _refutation(automaton: _Automaton, alpha: ChoiceSequence, size: int) -> Refutation:
+    # Bob answers each offer with its first letter whose quotient game loses
+    # the rest.  Nodes are shared per (state, round): the round fixes the
+    # rest of alpha, so this is the memo on (quotient, rest of alpha).
+    rests = [alpha[i + 1:] for i in range(len(alpha))]
+    memo: dict[tuple[int, int], Refutation] = {}
+    pending: list[tuple[Refutation, int, int]] = []
 
-    def build(target: frozenset[Word], alpha: ChoiceSequence) -> Refutation:
-        key = (target, alpha)
-        if key in memo:
-            return memo[key]
-        if not alpha:
-            if target:
-                raise InternalConsistencyError("refutation requested for a won empty game")
-            node = Refutation({})
-        else:
-            rest = alpha[1:]
-            responses: dict[tuple[int, ...], tuple[int, Refutation]] = {}
-            for offered in combinations(range(size), alpha[0]):
-                pick = None
-                for c in offered:
-                    quotient = frozenset(w[1:] for w in target if w and w[0] == c)
-                    if rest not in _members(quotient):
-                        pick = (c, build(quotient, rest))
-                        break
-                if pick is None:
-                    raise InternalConsistencyError(
-                        "refutation requested for a winning sequence"
-                    )
-                responses[offered] = pick
-            node = Refutation(responses)
-        memo[key] = node
+    def node_for(state: int, i: int) -> Refutation:
+        node = memo.get((state, i))
+        if node is None:
+            node = memo[state, i] = Refutation({})
+            pending.append((node, state, i))
         return node
 
-    return build(target, alpha)
+    root = node_for(automaton.root, 0)
+    while pending:
+        node, state, i = pending.pop()
+        if i == len(alpha):
+            if state != _DEAD:
+                raise InternalConsistencyError("refutation requested for a won empty game")
+            continue
+        for offered in combinations(range(size), alpha[i]):
+            for c in offered:
+                child = automaton.child(state, c)
+                if rests[i] not in automaton.wins[child]:
+                    node.responses[offered] = (c, node_for(child, i + 1))
+                    break
+            else:
+                raise InternalConsistencyError("refutation requested for a winning sequence")
+    return root
 
 
 def strategy_plays(tree: StrategyTree) -> frozenset[Word]:

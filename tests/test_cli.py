@@ -159,6 +159,30 @@ def test_sync_cap_env_override(capsys, monkeypatch):
     assert code == 1  # cap exceeded before the true delay 4
 
 
+def test_periodic_input_names_the_stall(capsys, monkeypatch):
+    import winshift.cli as cli
+
+    # gtm:3,2 is periodic (b = 1 mod m): no synchronization cap can help
+    for argv in (
+        ["winshift", "--subst", "gtm:3,2", "--length", "5"],
+        ["syncdelay", "--subst", "gtm:3,2"],
+        ["delta", "--subst", "gtm:3,2", "--n", "5"],
+        ["complexity", "--subst", "gtm:3,2", "--upto", "5"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "periodic: its factor complexity stalls at length 1" in captured.err
+        assert "raise the cap" not in captured.err
+    # an aperiodic input that merely hits a small cap keeps the cap message
+    assert main(["syncdelay", "--subst", "tm", "--cap", "2"]) == 1
+    assert "raise the cap" in capsys.readouterr().err
+    # the success path never runs the probe
+    monkeypatch.setattr(cli, "periodicity_probe", None)
+    code, out = run(capsys, "winshift", "--subst", "tm", "--length", "10")
+    assert (code, out) == (0, "◇111111112\n◇211111112\n")
+
+
 def test_output_determinism(capsys):
     first = run(capsys, "winshift", "--subst", "gtm:3,3", "--length", "9", "--format", "json")
     second = run(capsys, "winshift", "--subst", "gtm:3,3", "--length", "9", "--format", "json")

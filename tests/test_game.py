@@ -1,4 +1,5 @@
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from winshift import (
     InternalConsistencyError,
+    Refutation,
+    StrategyTree,
     PreconditionError,
     branch_rounds,
     is_irreducible,
@@ -23,6 +26,7 @@ from winshift import (
     winning_set,
     winning_set_cardinality,
 )
+from winshift.words import le
 
 
 def words_of(text_words, size):
@@ -194,3 +198,174 @@ def test_cardinality_mismatch_is_internal_error(monkeypatch):
     monkeypatch.setattr(game, "_members", lambda target: frozenset())
     with pytest.raises(InternalConsistencyError):
         game.winning_set_cardinality(frozenset({(0,)}))
+
+
+def refutation_loses(ref, X, alpha, size):
+    """Replay Bob's table against every offer without recursion or expanding plays.
+
+    Each (node, quotient) pair is walked once, so shared continuations cost
+    nothing extra; a play loses when its quotient becomes empty.
+    """
+    seen = set()
+    stack = [(ref, frozenset(X), 0)]
+    while stack:
+        node, target, i = stack.pop()
+        if not target or (id(node), target) in seen:
+            continue
+        seen.add((id(node), target))
+        if i == len(alpha):
+            return False
+        for offered in combinations(range(size), alpha[i]):
+            c, child = node.responses[offered]
+            if c not in offered:
+                return False
+            stack.append((child, frozenset(w[1:] for w in target if w[0] == c), i + 1))
+    return True
+
+
+def test_long_target_does_not_recurse():
+    X = frozenset({(0,) * 1200, (1,) * 1200})
+    assert winning_members(X) == {(1,) * 1200, (2,) + (1,) * 1199}
+    assert winning_set(X).maximal == ((2,) + (1,) * 1199,)
+    won = member(X, (2,) + (1,) * 1199)
+    assert won.win and validate_strategy(won.strategy, X)
+    lost = member(X, (2,) * 1200)
+    assert not lost.win and refutation_plays(lost.refutation) == {(0,) * 1199 + (1,)}
+    # every offer here has one letter, so the plays double each round:
+    # replay the shared table instead of expanding them
+    lost = member(X, (1,) * 1199 + (2,))
+    assert not lost.win and refutation_loses(lost.refutation, X, (1,) * 1199 + (2,), 2)
+
+
+# Reference solver: backward induction recursing on quotient frozensets,
+# memoized on the quotient itself.  The library solves the same games on
+# the minimal automaton of the target; both must agree exactly.
+
+
+@lru_cache(maxsize=None)
+def reference_members(target):
+    if not target:
+        return frozenset()
+    if len(next(iter(target))) == 0:
+        return frozenset({()})
+    counts = {}
+    for c in sorted({w[0] for w in target}):
+        for beta in reference_members(frozenset(w[1:] for w in target if w[0] == c)):
+            counts[beta] = counts.get(beta, 0) + 1
+    return frozenset((t,) + beta for beta, k in counts.items() for t in range(1, k + 1))
+
+
+def reference_strategy(target, alpha):
+    if not alpha:
+        return StrategyTree(())
+    rest = alpha[1:]
+    offer, quotients = [], {}
+    for c in sorted({w[0] for w in target}):
+        quotient = frozenset(w[1:] for w in target if w[0] == c)
+        if rest in reference_members(quotient):
+            offer.append(c)
+            quotients[c] = quotient
+            if len(offer) == alpha[0]:
+                break
+    assert len(offer) == alpha[0]
+    return StrategyTree(tuple(offer), {c: reference_strategy(quotients[c], rest) for c in offer})
+
+
+def reference_refutation(target, alpha, size):
+    memo = {}
+
+    def build(target, alpha):
+        key = (target, alpha)
+        if key in memo:
+            return memo[key]
+        responses = {}
+        if alpha:
+            for offered in combinations(range(size), alpha[0]):
+                for c in offered:
+                    quotient = frozenset(w[1:] for w in target if w and w[0] == c)
+                    if alpha[1:] not in reference_members(quotient):
+                        responses[offered] = (c, build(quotient, alpha[1:]))
+                        break
+                assert offered in responses
+        else:
+            assert not target
+        memo[key] = Refutation(responses)
+        return memo[key]
+
+    return build(target, alpha)
+
+
+def reference_antichain(members):
+    return tuple(sorted(a for a in members if not any(a != b and le(a, b) for b in members)))
+
+
+def same_strategy(a, b):
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x.offer != y.offer or list(x.children) != list(y.children):
+            return False
+        stack.extend((x.children[c], y.children[c]) for c in x.children)
+    return True
+
+
+def same_refutation(a, b):
+    # equal tables, offer order included, and the same sharing of nodes
+    image = {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if id(x) in image:
+            if image[id(x)] is not y:
+                return False
+            continue
+        image[id(x)] = y
+        if list(x.responses) != list(y.responses):
+            return False
+        for offered, (c, child) in x.responses.items():
+            d, other = y.responses[offered]
+            if c != d:
+                return False
+            stack.append((child, other))
+    return len({id(y) for y in image.values()}) == len(image)
+
+
+def assert_matches_reference(X, size, alphas):
+    target = frozenset(X)
+    members = reference_members(target)
+    assert winning_members(X) == members
+    assert winning_set(X).maximal == reference_antichain(members)
+    for alpha in alphas:
+        outcome = member(X, alpha, alphabet_size=size)
+        assert outcome.win == (alpha in members)
+        if outcome.win:
+            assert same_strategy(outcome.strategy, reference_strategy(target, alpha))
+        else:
+            expected = reference_refutation(target, alpha, size)
+            assert same_refutation(outcome.refutation, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets)
+def test_random_targets_match_reference(case):
+    size, X = case
+    n = len(next(iter(X)))
+    assert_matches_reference(X, size, list(product(range(1, size + 1), repeat=n)))
+
+
+@pytest.mark.parametrize("name", ["tm", "ex42", "ex46", "gtm23"])
+def test_languages_match_reference(name, request):
+    subst = request.getfixturevalue(name)
+    for n in range(1, 15):
+        X = language(subst, n).words
+        members = reference_members(frozenset(X))
+        maximal = reference_antichain(members)
+        # every winning sequence, and losers just above the maximal ones at
+        # the first and the last round
+        raised = {
+            m[:i] + (m[i] + 1,) + m[i + 1:]
+            for m in maximal
+            for i in {0, n - 1}
+            if m[i] < subst.size
+        }
+        assert_matches_reference(X, subst.size, sorted(members) + sorted(raised))
