@@ -26,17 +26,24 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(_BUILTINS) + ("gtm:b,m",)
 
 
+def gtm_parameters(name: str) -> tuple[int, int] | None:
+    """(b, m) of a ``gtm:b,m`` name, or None for any other name."""
+    if not name.startswith("gtm:"):
+        return None
+    try:
+        b_text, m_text = name[4:].split(",")
+        return int(b_text), int(m_text)
+    except ValueError as exc:
+        raise PreconditionError(f"cannot parse gtm parameters from {name!r}") from exc
+
+
 def builtin_substitution(name: str) -> Substitution:
     """Resolve a built-in name, including the parametric gtm:b,m form."""
     if name in _BUILTINS:
         return make_substitution(_BUILTINS[name])
-    if name.startswith("gtm:"):
-        try:
-            b_text, m_text = name[4:].split(",")
-            b, m = int(b_text), int(m_text)
-        except ValueError as exc:
-            raise PreconditionError(f"cannot parse gtm parameters from {name!r}") from exc
-        return gtm_substitution(b, m)
+    params = gtm_parameters(name)
+    if params is not None:
+        return gtm_substitution(*params)
     raise PreconditionError(
         f"unknown substitution name {name!r}; built-ins: {', '.join(builtin_names())}"
     )

@@ -11,12 +11,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import complexity as cx
 from . import gtm as gtm_mod
 from . import shift
-from .catalog import resolve_substitution, substitution_to_dict
+from .catalog import gtm_parameters, resolve_substitution, substitution_to_dict
 from .errors import CapExceededError, PeriodicInputError, WinshiftError
 from .game import StrategyTree, member, winning_set, winning_set_cardinality
 from .recognizability import sync_delay
@@ -40,10 +39,6 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _resolve(args) -> tuple[Substitution, str]:
-    return resolve_substitution(args.subst)
-
-
 def _flags(subst: Substitution) -> dict:
     return {
         "uniform": subst.uniform,
@@ -57,7 +52,7 @@ def _flags(subst: Substitution) -> dict:
 
 
 def cmd_classify(args) -> int:
-    subst, label = _resolve(args)
+    subst, label = resolve_substitution(args.subst)
     if args.emit:
         with open(args.emit, "w") as handle:
             handle.write(_json(substitution_to_dict(subst, label)) + "\n")
@@ -76,25 +71,29 @@ def cmd_classify(args) -> int:
 
 
 def cmd_fixedpoint(args) -> int:
-    subst, _ = _resolve(args)
+    subst, _ = resolve_substitution(args.subst)
     prefix = fixed_point_prefix(subst, args.letter, args.length)
     _emit(format_word(prefix, subst.size))
     return 0
 
 
 def cmd_language(args) -> int:
-    subst, _ = _resolve(args)
+    subst, _ = resolve_substitution(args.subst)
     lang = language(subst, args.length)
-    words = [format_word(w, subst.size) for w in lang.words]
     if args.format == "json":
+        words = [format_word(w, subst.size) for w in lang.words]
         _emit(_json({"n": lang.n, "count": len(words), "words": words}))
     else:
-        _emit("\n".join(words) if words else "")
+        _print_words(lang.words, subst.size)
     return 0
 
 
+def _print_words(words, size: int) -> None:
+    _emit("\n".join(format_word(w, size) for w in words))
+
+
 def cmd_syncdelay(args) -> int:
-    subst, _ = _resolve(args)
+    subst, _ = resolve_substitution(args.subst)
     result = sync_delay(subst, args.cap)
     witness = (
         format_word(result.witness, subst.size) if result.witness is not None else None
@@ -119,24 +118,15 @@ def cmd_syncdelay(args) -> int:
 
 
 def cmd_winset(args) -> int:
-    subst, _ = _resolve(args)
+    subst, _ = resolve_substitution(args.subst)
     target = language(subst, args.length).words
     if args.choice_seq is None:
-        wset = winning_set(target)
+        maximal = [format_choices(m, subst.size) for m in winning_set(target).maximal]
+        count = winning_set_cardinality(target)
         if args.format == "json":
-            _emit(
-                _json(
-                    {
-                        "length": args.length,
-                        "count": winning_set_cardinality(target),
-                        "maximal": [format_choices(m, subst.size) for m in wset.maximal],
-                    }
-                )
-            )
+            _emit(_json({"length": args.length, "count": count, "maximal": maximal}))
         else:
-            for m in wset.maximal:
-                _emit(format_choices(m, subst.size))
-            _emit(f"count = {winning_set_cardinality(target)}")
+            _emit("\n".join(maximal + [f"count = {count}"]))
         return 0
     alpha = parse_choices(args.choice_seq, subst.size)
     outcome = member(target, alpha, alphabet_size=subst.size)
@@ -150,12 +140,12 @@ def cmd_winset(args) -> int:
             with open(args.export_dot, "w") as handle:
                 handle.write(strategy_to_dot(outcome.strategy, subst.size))
         else:
-            _emit("lose: no strategy tree to export")
+            sys.stderr.write("lose: no strategy tree to export\n")
     return 0
 
 
 def cmd_winshift(args) -> int:
-    subst, _ = _resolve(args)
+    subst, _ = resolve_substitution(args.subst)
     if args.table:
         low, high = args.table
         for n in range(low, high + 1):
@@ -164,163 +154,133 @@ def cmd_winshift(args) -> int:
                 _emit(f"{n}: {row}")
         return 0
     rows = shift.enumerate_irreducible(subst, args.length, args.method)
-    ordered = sorted(rows)
+    if args.format == "text":
+        for row in compress(rows, subst.size):
+            _emit(row)
+        return 0
+    ordered = [format_choices(r, subst.size) for r in sorted(rows)]
     if args.format == "json":
         _emit(
             _json(
                 {
                     "length": args.length,
-                    "irreducible": [format_choices(r, subst.size) for r in ordered],
+                    "irreducible": ordered,
                     "count": len(ordered),
                     "assumptions": ["aperiodicity assumed (run verify to probe)"],
                 }
             )
         )
-    elif args.format == "csv":
-        lines = ["n,sequence"]
-        lines += [f"{args.length},{format_choices(r, subst.size)}" for r in ordered]
-        _emit("\n".join(lines))
     else:
-        for row in compress(ordered, subst.size):
-            _emit(row)
+        _emit("\n".join(["n,sequence"] + [f"{args.length},{r}" for r in ordered]))
     return 0
 
 
 def cmd_delta(args) -> int:
-    subst, _ = _resolve(args)
-    if args.method == "recurrence":
-        value = cx.delta_recurrence(subst, args.n)
-    elif args.method == "direct":
-        value = cx.delta_direct(subst, args.n)
-    else:
-        value = (
-            cx.delta_recurrence(subst, args.n)
-            if subst.uniform and subst.marked
-            else cx.delta_direct(subst, args.n)
-        )
-    _emit(str(value))
+    subst, _ = resolve_substitution(args.subst)
+    method = args.method
+    if method == "auto":
+        method = "recurrence" if subst.uniform and subst.marked else "direct"
+    delta = cx.delta_recurrence if method == "recurrence" else cx.delta_direct
+    _emit(str(delta(subst, args.n)))
     return 0
 
 
 def cmd_complexity(args) -> int:
-    subst, _ = _resolve(args)
-    table = cx.complexity_table(subst, args.upto, args.method)
-    return _print_complexity(table, args.format)
+    subst, _ = resolve_substitution(args.subst)
+    _print_complexity(cx.complexity_table(subst, args.upto, args.method), args.format)
+    return 0
 
 
-def _print_complexity(table: cx.ComplexityTable, fmt: str) -> int:
+def _print_complexity(table: cx.ComplexityTable, fmt: str, verdict: str | None = None) -> None:
+    """csv or json table; in json a ``gtm --verify`` verdict joins the object."""
     if fmt == "json":
-        _emit(
-            _json(
-                {
-                    "upto": table.upto,
-                    "delta": list(table.deltas),
-                    "f": list(table.values),
-                    "method": list(table.methods),
-                }
-            )
-        )
-        return 0
+        obj = {
+            "upto": table.upto,
+            "delta": list(table.deltas),
+            "f": list(table.values),
+            "method": list(table.methods),
+        }
+        if verdict is not None:
+            obj["verify"] = verdict
+        _emit(_json(obj))
+        return
     lines = ["n,delta,f,method"]
     for n in range(table.upto + 1):
         lines.append(f"{n},{table.deltas[n]},{table.values[n]},{table.methods[n]}")
     _emit("\n".join(lines))
-    return 0
+
+
+def _gtm_form(kind: str, b: int, m: int, n: int | None):
+    """One gtm quantity as (what is shown, its closed form, the generic pipeline).
+
+    The closed form is computed first, so periodic (b, m) fail before any
+    substitution is built.  The generic pipeline maps the substitution to
+    the value the closed form must equal; it looks its functions up in
+    this module when called.
+    """
+    if kind == "factors":
+        words = gtm_mod.gtm_factors(b, m, n)
+        return sorted(words), words, lambda s: language(s, n).word_set
+    if kind == "syncdelay":
+        delay = gtm_mod.gtm_sync_delay(b, m)
+        return delay, delay, lambda s: sync_delay(s).delay
+    if kind == "winshift":
+        rows = gtm_mod.gtm_irreducibles(b, m, n)
+        return rows, rows, lambda s: shift.enumerate_irreducible(s, n)
+    if kind == "delta":
+        value = gtm_mod.gtm_delta(b, m, n)
+        return value, value, lambda s: cx.delta_direct(s, n)
+    table = gtm_mod.gtm_complexity_table(b, m, n)
+    return table, table.values, lambda s: cx.complexity_table(s, n, "direct").values
 
 
 def cmd_gtm(args) -> int:
-    b, m = args.b, args.m
-    sub = args.gtm_command
-    if sub == "word":
-        letters = tuple(gtm_mod.gtm_letter(b, m, i) for i in range(args.length))
-        _emit(format_word(letters, m))
+    b, m, kind = args.b, args.m, args.gtm_command
+    if kind == "word":
+        _emit(format_word(tuple(gtm_mod.gtm_letter(b, m, i) for i in range(args.length)), m))
         return 0
-    if sub == "factors":
-        words = sorted(gtm_mod.gtm_factors(b, m, args.n))
-        _emit("\n".join(format_word(w, m) for w in words))
-        if args.verify:
-            computed = set(language(gtm_mod.gtm_substitution(b, m), args.n).words)
-            if computed != set(words):
-                _emit("VERIFY FAIL: closed-form factors differ from the language")
-                return 3
-            _emit("verify: ok")
-        return 0
-    if sub == "syncdelay":
-        value = gtm_mod.gtm_sync_delay(b, m, verify=args.verify)
-        _emit(f"L = {value}")
-        if args.verify:
-            _emit("verify: ok")
-        return 0
-    if sub == "winshift":
-        rows = sorted(gtm_mod.gtm_irreducibles(b, m, args.length))
-        for row in compress(rows, m):
+    # the subcommand's size option: --n, --length or --upto; syncdelay has none
+    n = next((getattr(args, k) for k in ("n", "length", "upto") if hasattr(args, k)), None)
+    shown, closed, generic = _gtm_form(kind, b, m, n)
+    verdict = None
+    if args.verify:
+        same = generic(gtm_mod.gtm_substitution(b, m)) == closed
+        verdict = "ok" if same else f"VERIFY FAIL: closed-form {kind} differs from the pipeline"
+    if kind == "complexity":
+        _print_complexity(shown, args.format, verdict)
+    elif kind == "factors":
+        _print_words(shown, m)
+    elif kind == "winshift":
+        for row in compress(shown, m):
             _emit(row)
-        if args.verify:
-            computed = shift.enumerate_irreducible(
-                gtm_mod.gtm_substitution(b, m), args.length, "auto"
-            )
-            if computed != frozenset(rows):
-                _emit("VERIFY FAIL: closed-form winning shift differs from enumeration")
-                return 3
-            _emit("verify: ok")
-        return 0
-    if sub == "delta":
-        value = gtm_mod.gtm_delta(b, m, args.n)
-        _emit(str(value))
-        if args.verify:
-            direct = cx.delta_direct(gtm_mod.gtm_substitution(b, m), args.n)
-            if direct != value:
-                _emit(f"VERIFY FAIL: direct value {direct}")
-                return 3
-            _emit("verify: ok")
-        return 0
-    if sub == "complexity":
-        table = gtm_mod.gtm_complexity_table(b, m, args.upto)
-        code = _print_complexity(table, args.format)
-        if code == 0 and args.verify:
-            direct = cx.complexity_table(
-                gtm_mod.gtm_substitution(b, m), args.upto, "direct"
-            )
-            if direct.values != table.values:
-                _emit("VERIFY FAIL: closed-form complexity differs from enumeration")
-                return 3
-            _emit("verify: ok")
-        return code
-    raise AssertionError(f"unhandled gtm subcommand {sub!r}")
+    else:
+        _emit(f"L = {shown}" if kind == "syncdelay" else str(shown))
+    if verdict is not None and getattr(args, "format", None) != "json":
+        _emit("verify: ok" if verdict == "ok" else verdict)
+    return 0 if verdict in (None, "ok") else 3
 
 
-@dataclass
-class VerifyCheck:
-    name: str
-    status: str
-    detail: str
+# known values of the built-in substitutions, checked by verify
+_KNOWN_FACTS = {
+    "tm": {"delay": 4, "table": True},
+    "ex42": {"delay": 5, "deltas": {6: 4, 14: 5}},
+    "ex46": {"delay": 6, "membership": (7, (3, 1, 1, 1, 1, 1, 2))},
+}
 
 
-def _known_facts(label: str) -> dict:
-    facts: dict = {}
-    if label == "tm":
-        facts["delay"] = 4
-        facts["table"] = True
-    elif label == "ex42":
-        facts["delay"] = 5
-        facts["deltas"] = {6: 4, 14: 5}
-    elif label == "ex46":
-        facts["delay"] = 6
-        facts["membership"] = (7, (3, 1, 1, 1, 1, 1, 2))
-    elif label.startswith("gtm:"):
-        b = int(label[4:].split(",")[0])
-        facts["delay"] = 2 * b
-    return facts
-
-
-def run_verify(subst: Substitution, label: str, depth: int) -> list[VerifyCheck]:
-    checks: list[VerifyCheck] = []
+def run_verify(
+    subst: Substitution, builtin: str | None, gtm: tuple[int, int] | None, depth: int
+) -> list[tuple[str, str, str]]:
+    """Cross-check the pipelines on ``subst`` as (status, check, detail) rows;
+    ``builtin`` names the known facts to check, ``gtm`` = (b, m) adds the
+    closed forms."""
+    checks: list[tuple[str, str, str]] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
-        checks.append(VerifyCheck(name, "pass" if passed else "fail", detail))
+        checks.append(("pass" if passed else "fail", name, detail))
 
     def skip(name: str, reason: str) -> None:
-        checks.append(VerifyCheck(name, "skipped", reason))
+        checks.append(("skipped", name, reason))
 
     probe = periodicity_probe(subst)
     if probe.periodic:
@@ -328,7 +288,7 @@ def run_verify(subst: Substitution, label: str, depth: int) -> list[VerifyCheck]
         return checks
     record("periodicity-probe", True, f"aperiodic up to {probe.bound}")
 
-    facts = _known_facts(label)
+    facts = {"delay": gtm_mod.gtm_sync_delay(*gtm)} if gtm else _KNOWN_FACTS.get(builtin, {})
     if subst.uniform:
         delay = sync_delay(subst).delay
         if "delay" in facts:
@@ -337,11 +297,10 @@ def run_verify(subst: Substitution, label: str, depth: int) -> list[VerifyCheck]
         delay = None
         skip("known-delay", "not uniform")
 
-    ok = True
-    for n in range(1, min(depth, 14) + 1):
-        target = language(subst, n).words
-        if winning_set_cardinality(target) != len(target):
-            ok = False
+    ok = all(
+        winning_set_cardinality(language(subst, n).words) == len(language(subst, n))
+        for n in range(1, min(depth, 14) + 1)
+    )
     record("cardinality", ok, f"|W| = |X| for n <= {min(depth, 14)}")
 
     ok = True
@@ -357,17 +316,15 @@ def run_verify(subst: Substitution, label: str, depth: int) -> list[VerifyCheck]
 
     if subst.uniform and subst.marked and delay is not None:
         M = subst.uniform_length
-        ok = True
-        for n in range(delay + 1, delay + 2 * M + 1):
-            brute = shift.enumerate_irreducible(subst, n, "brute")
-            fast = shift.enumerate_irreducible(subst, n, "substitutive")
-            if brute != fast:
-                ok = False
+        ok = all(
+            shift.enumerate_irreducible(subst, n, "brute")
+            == shift.enumerate_irreducible(subst, n, "substitutive")
+            for n in range(delay + 1, delay + 2 * M + 1)
+        )
         record("substitutive-vs-brute", ok, f"lengths {delay + 1}..{delay + 2 * M}")
-        ok = True
-        for n in range(1, depth + 1):
-            if cx.delta_recurrence(subst, n) != cx.delta_direct(subst, n):
-                ok = False
+        ok = all(
+            cx.delta_recurrence(subst, n) == cx.delta_direct(subst, n) for n in range(1, depth + 1)
+        )
         record("delta-recurrence", ok, f"n <= {depth}")
     else:
         skip("substitutive-vs-brute", "not marked")
@@ -397,29 +354,20 @@ def run_verify(subst: Substitution, label: str, depth: int) -> list[VerifyCheck]
             f"{format_choices(alpha, subst.size)} at length {n}",
         )
 
-    if label.startswith("gtm:"):
-        b, m = (int(x) for x in label[4:].split(","))
-        ok = True
-        for n in range(1, min(depth, 12) + 1):
-            if gtm_mod.gtm_delta(b, m, n) != cx.delta_direct(subst, n):
-                ok = False
-            if gtm_mod.gtm_complexity(b, m, n) != len(language(subst, n)):
-                ok = False
-        for n in (2, 3):
-            if gtm_mod.gtm_factors(b, m, n) != frozenset(language(subst, n).words):
-                ok = False
-        for n in range(1, min(depth, 20) + 1):
-            if gtm_mod.gtm_irreducibles(b, m, n) != shift.enumerate_irreducible(subst, n):
-                ok = False
+    if gtm:
+        forms = [_gtm_form("complexity", *gtm, min(depth, 12))]
+        forms += [_gtm_form("factors", *gtm, n) for n in (2, 3)]
+        forms += [_gtm_form("winshift", *gtm, n) for n in range(1, min(depth, 20) + 1)]
+        ok = all(closed == generic(subst) for _, closed, generic in forms)
         record("gtm-closed-forms", ok, f"diffs up to depth {min(depth, 20)}")
     else:
         skip("gtm-closed-forms", "not a gtm substitution")
 
     if facts.get("table"):
-        ok = True
-        for n in range(1, min(depth, 24) + 1):
-            if expand_row(n, subst.size) != shift.enumerate_irreducible(subst, n):
-                ok = False
+        ok = all(
+            expand_row(n, subst.size) == shift.enumerate_irreducible(subst, n)
+            for n in range(1, min(depth, 24) + 1)
+        )
         record("tm-reference-table", ok, f"rows 1..{min(depth, 24)}")
     else:
         skip("tm-reference-table", "reference rows cover tm only")
@@ -427,14 +375,12 @@ def run_verify(subst: Substitution, label: str, depth: int) -> list[VerifyCheck]
 
 
 def cmd_verify(args) -> int:
-    if args.subst:
-        subst, label = resolve_substitution(args.subst)
-    else:
-        subst, label = gtm_mod.gtm_substitution(args.b, args.m), f"gtm:{args.b},{args.m}"
-    checks = run_verify(subst, label, args.depth)
-    failed = [c for c in checks if c.status == "fail"]
-    for check in checks:
-        _emit(f"{check.status.upper():7s} {check.name}: {check.detail}")
+    gtm = gtm_parameters(args.subst) if args.subst else (args.b, args.m)
+    subst = gtm_mod.gtm_substitution(*gtm) if gtm else resolve_substitution(args.subst)[0]
+    checks = run_verify(subst, args.subst, gtm, args.depth)
+    failed = [check for check in checks if check[0] == "fail"]
+    for status, name, detail in checks:
+        _emit(f"{status.upper():7s} {name}: {detail}")
     _emit(f"overall: {'fail' if failed else 'pass'}")
     return 3 if failed else 0
 
@@ -601,7 +547,7 @@ def _run(args) -> int:
     except CapExceededError:
         # A periodic subshift never synchronizes, so a larger cap cannot
         # help; the probe runs on this failure path only.
-        subst = _resolve(args)[0] if getattr(args, "subst", None) else None
+        subst = resolve_substitution(args.subst)[0] if getattr(args, "subst", None) else None
         if subst is not None and subst.primitive:
             probe = periodicity_probe(subst)
             if probe.periodic:
@@ -612,17 +558,30 @@ def _run(args) -> int:
         raise
 
 
+def _usage_problem(args) -> str | None:
+    """A rule the command line breaks that argparse does not check."""
+    if args.command == "winshift" and args.length is None and args.table is None:
+        return "winshift needs --length or --table"
+    if args.command != "verify":
+        return None
+    if args.subst and (args.b is not None or args.m is not None):
+        return "verify takes --subst or --b and --m, not both"
+    if not args.subst and (args.b is None or args.m is None):
+        return "verify needs --subst or both --b and --m"
+    if args.depth < 1:
+        return "verify needs --depth >= 1"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "winshift" and args.length is None and args.table is None:
-        sys.stderr.write("error: winshift needs --length or --table\n")
-        return 2
-    if args.command == "verify" and not args.subst and (args.b is None or args.m is None):
-        sys.stderr.write("error: verify needs --subst or both --b and --m\n")
+    problem = _usage_problem(args)
+    if problem:
+        sys.stderr.write(f"error: {problem}\n")
         return 2
     try:
         return _run(args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalConsistencyError, PreconditionError, UnsupportedInputError
+from .errors import InternalConsistencyError, PreconditionError
 from .recognizability import sync_delay
 from .substitution import Substitution, language
 
@@ -62,12 +62,7 @@ def delta_decompose(n: int, block_length: int, constant: int) -> DeltaDecomposit
 
 def delta_recurrence(subst: Substitution, n: int) -> int:
     """First difference via the marked recurrence; base table up to M*K + 1."""
-    if not subst.uniform:
-        raise UnsupportedInputError("the first-difference recurrence requires a uniform substitution")
-    if not subst.marked:
-        raise UnsupportedInputError(
-            "the first-difference recurrence requires a marked substitution"
-        )
+    subst.require("the first-difference recurrence", "uniform", "marked")
     if n < 0:
         raise PreconditionError("length must be nonnegative")
     M = subst.uniform_length
@@ -98,10 +93,8 @@ def complexity_table(subst: Substitution, upto: int, method: str = "auto") -> Co
         method = "recurrence" if subst.uniform and subst.marked else "direct"
     if method not in ("direct", "recurrence"):
         raise PreconditionError(f"unknown method {method!r}")
-    if method == "recurrence" and not (subst.uniform and subst.marked):
-        raise UnsupportedInputError(
-            "the first-difference recurrence requires a marked uniform substitution"
-        )
+    if method == "recurrence":
+        subst.require("the first-difference recurrence", "uniform", "marked")
     base_top = (
         subst.uniform_length * recurrence_constant(subst) + 1
         if method == "recurrence"

@@ -18,7 +18,6 @@ from .errors import (
     InternalConsistencyError,
     NotInLanguageError,
     PreconditionError,
-    UnsupportedInputError,
 )
 from .substitution import Substitution, language
 from .words import Word
@@ -55,14 +54,6 @@ class SyncDelay:
     witness_offsets: frozenset[int]
 
 
-def _require_uniform_primitive(subst: Substitution, what: str) -> int:
-    if not subst.uniform:
-        raise UnsupportedInputError(f"{what} requires a uniform substitution")
-    if not subst.primitive:
-        raise UnsupportedInputError(f"{what} requires a primitive substitution")
-    return subst.uniform_length
-
-
 def interpretations(subst: Substitution, w: Word) -> frozenset[Interpretation]:
     """All interpretations of ``w``, with trims normalized below M.
 
@@ -70,7 +61,7 @@ def interpretations(subst: Substitution, w: Word) -> frozenset[Interpretation]:
     ceil((|w| + 2M - 2) / M) letters, so scanning the occurrences of
     ``w`` inside images of language words of that length finds them all.
     """
-    M = _require_uniform_primitive(subst, "interpretation search")
+    M = subst.require("interpretation search", "uniform", "primitive")
     w = tuple(w)
     if not w:
         raise PreconditionError("word must be nonempty")
@@ -119,7 +110,7 @@ def sync_delay(subst: Substitution, cap: int | None = None) -> SyncDelay:
     synchronized level is the delay; the last unsynchronized word seen
     certifies minimality.
     """
-    _require_uniform_primitive(subst, "synchronization delay")
+    subst.require("synchronization delay", "uniform", "primitive")
     limit = default_sync_cap(subst) if cap is None else cap
     if limit < 1:
         raise PreconditionError("cap must be >= 1")

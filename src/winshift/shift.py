@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import InternalConsistencyError, PreconditionError, UnsupportedInputError
+from .errors import InternalConsistencyError, PreconditionError
 from .game import (
     StrategyTree,
     max_first_choice,
@@ -65,16 +65,6 @@ class LevelData:
     n: int
     entries: dict[ChoiceSequence, tuple[int, tuple[int, ...]]]
     source: str
-
-
-def _require_marked(subst: Substitution, what: str) -> int:
-    if not subst.uniform:
-        raise UnsupportedInputError(f"{what} requires a uniform substitution")
-    if not subst.marked:
-        raise UnsupportedInputError(
-            f"{what} requires a marked substitution (distinct first and last image letters)"
-        )
-    return subst.uniform_length
 
 
 def _delay(subst: Substitution) -> int:
@@ -158,7 +148,7 @@ def _extend_entries(
 
 def extend_level(subst: Substitution, level: LevelData, head_length: int) -> frozenset[ChoiceSequence]:
     """All irreducible sequences of length head + (n - 2) * M + 1 from one level."""
-    M = _require_marked(subst, "level extension")
+    M = subst.require("level extension", "uniform", "marked")
     if not 1 <= head_length <= M:
         raise PreconditionError(f"head length must lie in 1..{M}")
     return _expand_entries(_extend_entries(subst, level, head_length))
@@ -175,7 +165,7 @@ def _expand_entries(entries) -> frozenset[ChoiceSequence]:
 
 def level_data(subst: Substitution, n: int) -> LevelData:
     """Suffix-keyed description of the irreducible sequences of one length."""
-    _require_marked(subst, "level data")
+    subst.require("level data", "uniform", "marked")
     return _level(subst, n)
 
 
@@ -197,7 +187,7 @@ def enumerate_irreducible(
     if method == "brute":
         return _enumerate_brute(subst, n)
     if method == "substitutive":
-        _require_marked(subst, "substitutive enumeration")
+        subst.require("substitutive enumeration", "uniform", "marked")
         if n < 2 or n <= _delay(subst):
             return _enumerate_brute(subst, n)
         return _expand_entries(_level(subst, n).entries)
@@ -211,6 +201,19 @@ def _enumerate_brute(subst: Substitution, n: int) -> frozenset[ChoiceSequence]:
     return frozenset(a for a in winning_members(target) if is_irreducible(a))
 
 
+def _long_irreducible(subst: Substitution, alpha, what: str) -> ChoiceSequence:
+    """``alpha`` as a tuple, once it is irreducible and longer than the delay
+    of a uniform left-marked substitution."""
+    subst.require(what, "uniform", "left_marked")
+    alpha = tuple(alpha)
+    if not is_irreducible(alpha):
+        raise PreconditionError("choice sequence must be irreducible")
+    delay = _delay(subst)
+    if len(alpha) <= delay:
+        raise PreconditionError(f"{what} needs length > the delay {delay}")
+    return alpha
+
+
 def choice_decomposition(subst: Substitution, alpha, verify: bool = False) -> int:
     """Image-boundary residue shared by every winning play of ``alpha``.
 
@@ -219,18 +222,7 @@ def choice_decomposition(subst: Substitution, alpha, verify: bool = False) -> in
     the length alone.  With ``verify`` the game is solved and every play
     of the extracted strategy is checked against the residue.
     """
-    if not subst.uniform:
-        raise UnsupportedInputError("choice-sequence decomposition requires a uniform substitution")
-    if not subst.left_marked:
-        raise UnsupportedInputError(
-            "choice-sequence decomposition requires a left-marked substitution"
-        )
-    alpha = tuple(alpha)
-    if not is_irreducible(alpha):
-        raise PreconditionError("choice sequence must be irreducible")
-    delay = _delay(subst)
-    if len(alpha) <= delay:
-        raise PreconditionError(f"decomposition needs length > the delay {delay}")
+    alpha = _long_irreducible(subst, alpha, "choice-sequence decomposition")
     residue = (len(alpha) - 1) % subst.uniform_length
     if verify:
         target = language(subst, len(alpha)).words
@@ -251,16 +243,7 @@ def verify_form(subst: Substitution, alpha) -> bool:
     After dropping the head and the final letter, letters above 1 may
     only sit at block starts, i.e. the remainder is a stretched word.
     """
-    if not subst.uniform:
-        raise UnsupportedInputError("form check requires a uniform substitution")
-    if not subst.left_marked:
-        raise UnsupportedInputError("form check requires a left-marked substitution")
-    alpha = tuple(alpha)
-    if not is_irreducible(alpha):
-        raise PreconditionError("choice sequence must be irreducible")
-    delay = _delay(subst)
-    if len(alpha) <= delay:
-        raise PreconditionError(f"form check needs length > the delay {delay}")
+    alpha = _long_irreducible(subst, alpha, "form check")
     M = subst.uniform_length
     head = (len(alpha) - 1) % M
     body = alpha[head:len(alpha) - 1]
@@ -298,9 +281,7 @@ def substitute_strategy(
     winning block sequences yields a winning long sequence together with
     a branch-preserving strategy for it.
     """
-    if not subst.uniform:
-        raise UnsupportedInputError("strategy substitution requires a uniform substitution")
-    M = subst.uniform_length
+    M = subst.require("strategy substitution", "uniform")
     if not 1 <= head_length <= M or not 1 <= tail_length <= M:
         raise PreconditionError(f"head and tail lengths must lie in 1..{M}")
     base_seq = strategy_choice_sequence(tree)
@@ -387,7 +368,7 @@ def desubstitute_strategy(subst: Substitution, tree: StrategyTree) -> StrategyTr
     distinct), middle blocks desubstitute through exact image lookup,
     and the final letters map through the first-letter permutation.
     """
-    M = _require_marked(subst, "strategy desubstitution")
+    M = subst.require("strategy desubstitution", "uniform", "marked")
     seq = strategy_choice_sequence(tree)
     total = len(seq)
     if not seq or seq[-1] == 1:

@@ -100,6 +100,22 @@ class Substitution:
             ]
         return False
 
+    def require(self, what: str, *flags: str) -> int | None:
+        """Refuse input that lacks a flag ``what`` needs; return the image length M.
+
+        ``flags`` name properties of this class (``uniform``, ``left_marked``,
+        ``marked``, ``primitive``), checked in order; the first that fails
+        names the :class:`UnsupportedInputError`.  The message is built only
+        on failure, because hot paths such as ``sync_delay`` pass here on
+        every call.
+        """
+        for flag in flags:
+            if not getattr(self, flag):
+                raise UnsupportedInputError(
+                    f"{what} requires a {flag.replace('_', '-')} substitution"
+                )
+        return self.uniform_length
+
     def image(self, letter: int) -> Word:
         return self.images[letter]
 
@@ -210,10 +226,7 @@ def language(subst: Substitution, n: int) -> FactorLanguage:
     """
     if n < 0:
         raise PreconditionError("factor length must be nonnegative")
-    if not subst.primitive:
-        raise UnsupportedInputError(
-            "factor language computation requires a primitive substitution"
-        )
+    subst.require("factor language computation", "primitive")
     blocks = [(a,) for a in subst.letters]
     while min(len(block) for block in blocks) < n - 1:
         blocks = [subst.apply(block) for block in blocks]
@@ -248,8 +261,7 @@ def periodicity_probe(subst: Substitution, n_max: int | None = None) -> Periodic
     exact pass of :func:`language`, so the answer is certain for every
     length scanned and says nothing about longer ones.
     """
-    if not subst.primitive:
-        raise UnsupportedInputError("periodicity probe requires a primitive substitution")
+    subst.require("periodicity probe", "primitive")
     bound = default_probe_bound(subst) if n_max is None else n_max
     if bound < 1:
         raise PreconditionError("probe bound must be >= 1")

@@ -8,7 +8,7 @@ results are dropped, which only matters at length 1).
 
 from __future__ import annotations
 
-from .words import ChoiceSequence, is_irreducible, parse_choices
+from .words import ChoiceSequence, format_choices, is_irreducible, parse_choices
 
 WILDCARD = "◇"
 
@@ -41,18 +41,14 @@ THUE_MORSE_ROWS: dict[int, tuple[str, ...]] = {
 
 
 def expand_pattern(pattern: str, m: int) -> frozenset[ChoiceSequence]:
-    """Concrete irreducible sequences matching one wildcard pattern."""
-    out: set[ChoiceSequence] = set()
-    if WILDCARD in pattern:
-        for first in range(1, m + 1):
-            seq = parse_choices(pattern.replace(WILDCARD, str(first)), m)
-            if is_irreducible(seq):
-                out.add(seq)
+    """Concrete irreducible sequences matching one row of :func:`compress`."""
+    if pattern.startswith(WILDCARD):
+        # the suffix is spelled as if behind a first letter, as compress writes it
+        suffix = parse_choices("1" + pattern[len(WILDCARD):], m)[1:]
+        candidates = [(first,) + suffix for first in range(1, m + 1)]
     else:
-        seq = parse_choices(pattern, m)
-        if is_irreducible(seq):
-            out.add(seq)
-    return frozenset(out)
+        candidates = [parse_choices(pattern, m)]
+    return frozenset(seq for seq in candidates if is_irreducible(seq))
 
 
 def expand_row(n: int, m: int = 2) -> frozenset[ChoiceSequence]:
@@ -68,7 +64,8 @@ def compress(sequences, m: int) -> tuple[str, ...]:
 
     A suffix group collapses to a wildcard row exactly when every first
     letter 1..m occurs (or, at length 1, when all irreducible first
-    letters occur); other groups are listed concretely.
+    letters occur); other groups are listed concretely.  Rows are spelled
+    by :func:`format_choices`, so above 9 letters they read ``◇,1,10``.
     """
     groups: dict[ChoiceSequence, set[int]] = {}
     for seq in sequences:
@@ -79,9 +76,10 @@ def compress(sequences, m: int) -> tuple[str, ...]:
         # At length 1 the first letter is also the last, so 1 is reducible
         # and a wildcard row can only ever cover 2..m.
         covered = set(range(1, m + 1)) if suffix else set(range(2, m + 1))
-        suffix_text = "".join(str(a) for a in suffix)
+        # the suffix with its leading separator, if any; formatted once
+        tail = format_choices((0,) + suffix, m)[1:]
         if firsts == covered:
-            rows.append(WILDCARD + suffix_text)
+            rows.append(WILDCARD + tail)
         else:
-            rows.extend(f"{first}{suffix_text}" for first in sorted(firsts))
+            rows.extend(f"{first}{tail}" for first in sorted(firsts))
     return tuple(rows)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from winshift import SyncDelay
 from winshift.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -81,6 +82,14 @@ def test_winset_membership_and_dot(capsys, tmp_path):
         capsys, "winset", "--subst", "tm", "--length", "5", "--choice-seq", "22112",
     )
     assert code == 0 and out == "lose\n"
+    # the export note is a diagnostic: stdout stays one JSON document
+    code = main([
+        "winset", "--subst", "tm", "--length", "5", "--choice-seq", "22112",
+        "--format", "json", "--export-dot", str(dot),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["result"] == "lose"
+    assert captured.err == "lose: no strategy tree to export\n"
 
 
 def test_complexity_csv(capsys):
@@ -107,6 +116,11 @@ def test_gtm_commands(capsys):
     assert out.splitlines()[:2] == ["◇1112", "◇1113"]
     code, out = run(capsys, "gtm", "--b", "2", "--m", "2", "word", "--length", "6")
     assert (code, out) == (0, "011010\n")
+    code, out = run(
+        capsys, "gtm", "--b", "2", "--m", "3", "complexity", "--upto", "4",
+        "--format", "json", "--verify",
+    )
+    assert code == 0 and json.loads(out)["verify"] == "ok"
 
 
 def test_gtm_periodic_is_domain_error(capsys):
@@ -118,6 +132,14 @@ def test_usage_errors(capsys):
     assert main(["winshift", "--subst", "tm"]) == 2  # no --length/--table
     assert main(["nonsense"]) == 2
     assert main(["verify"]) == 2
+    for argv in (
+        ["verify", "--subst", "tm", "--depth", "0"],
+        ["verify", "--b", "2", "--m", "3", "--depth", "-1"],
+        ["verify", "--subst", "tm", "--b", "3", "--m", "4"],
+        ["verify", "--subst", "tm", "--m", "4"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_malformed_values_are_usage_errors(capsys, monkeypatch):
@@ -151,6 +173,16 @@ def test_gtm_verify_mismatch_is_exit_3(capsys, monkeypatch):
     code, out = run(capsys, "gtm", "--b", "2", "--m", "2", "delta", "--n", "4", "--verify")
     assert code == 3
     assert "VERIFY FAIL" in out
+    code, out = run(
+        capsys, "gtm", "--b", "2", "--m", "2", "complexity", "--upto", "4",
+        "--format", "json", "--verify",
+    )
+    assert code == 3
+    assert json.loads(out)["verify"].startswith("VERIFY FAIL")
+    monkeypatch.setattr(cli, "sync_delay", lambda subst: SyncDelay(99, None, frozenset()))
+    code, out = run(capsys, "gtm", "--b", "2", "--m", "2", "syncdelay", "--verify")
+    assert code == 3
+    assert out.startswith("L = 4\nVERIFY FAIL")
 
 
 def test_sync_cap_env_override(capsys, monkeypatch):

@@ -1,0 +1,135 @@
+"""Golden CLI corpus: exit code and stdout digest of every recorded invocation.
+
+``cli_golden.json`` maps each command line to (exit code, sha256 of stdout,
+stderr kind).  Stderr is compared only by its ``error:``/``usage:`` prefix, so
+domain errors may be reworded without touching the corpus.  ``{marked}`` is a
+marked three-letter substitution written as JSON; ``{dot}`` and ``{emit}``
+are scratch output paths.
+
+Re-record after a deliberate output change with
+``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from winshift.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+MARKED = {"alphabet": 3, "images": [[0, 0, 1], [1, 0, 2], [2, 1, 0]], "name": "marked3"}
+
+SUBSTS = ("tm", "ex42", "ex46", "gtm:2,3", "gtm:3,3", "{marked}")
+PER_SUBST = (
+    "classify --subst {s}",
+    "classify --subst {s} --format json",
+    "classify --subst {s} --emit {{emit}}",
+    "fixedpoint --subst {s} --length 20",
+    "language --subst {s} --length 4",
+    "language --subst {s} --length 4 --format json",
+    "syncdelay --subst {s}",
+    "syncdelay --subst {s} --format json",
+    "winset --subst {s} --length 4",
+    "winset --subst {s} --length 4 --format json",
+    "winset --subst {s} --length 4 --choice-seq 2212 --export-dot {{dot}}",
+    "winset --subst {s} --length 5 --choice-seq 22112",
+    "winset --subst {s} --length 5 --choice-seq 22112 --format json --export-dot {{dot}}",
+    "winset --subst {s} --length 5 --choice-seq 22112 --export-dot {{dot}}",
+    "winshift --subst {s} --length 7",
+    "winshift --subst {s} --length 7 --format json",
+    "winshift --subst {s} --length 7 --format csv",
+    "winshift --subst {s} --length 9 --method brute",
+    "winshift --subst {s} --length 9 --method substitutive",
+    "winshift --subst {s} --table 1..10",
+    "delta --subst {s} --n 9",
+    "delta --subst {s} --n 9 --method direct",
+    "delta --subst {s} --n 9 --method recurrence",
+    "complexity --subst {s} --upto 8",
+    "complexity --subst {s} --upto 8 --format json",
+    "complexity --subst {s} --upto 8 --method recurrence",
+    "complexity --subst {s} --upto 8 --method direct",
+    "verify --subst {s} --depth 5",
+)
+GTM_PARAMS = ((2, 2), (2, 3), (3, 4), (3, 2), (4, 3), (2, 1))
+PER_GTM = (
+    "word --length 12",
+    "factors --n 2",
+    "factors --n 3",
+    "syncdelay",
+    "winshift --length 9",
+    "delta --n 10",
+    "complexity --upto 10",
+    "complexity --upto 10 --format json",
+)
+OTHERS = (
+    "winshift --subst gtm:2,11 --length 3",
+    "winshift --subst gtm:2,11 --length 3 --format csv",
+    "winshift --subst gtm:2,11 --length 3 --format json",
+    "winshift --subst gtm:2,11 --table 1..4",
+    "gtm --b 2 --m 11 winshift --length 3",
+    "winshift --subst tm",
+    "nonsense",
+    "verify",
+    "verify --b 2",
+    "verify --subst tm --depth 0",
+    "verify --b 2 --m 3 --depth -1",
+    "verify --subst tm --b 3 --m 4",
+    "verify --subst tm --m 4",
+    "winshift --subst tm --table 5..x",
+    "winshift --subst tm --length 5 --format xml",
+    "winshift --subst nosuch --length 5",
+    "classify --subst gtm:x",
+    "delta --subst ex46 --n 50 --method recurrence",
+    "syncdelay --subst tm --cap 2",
+    "winset --subst tm --length 4 --choice-seq 9",
+    "gtm --b 1 --m 3 word --length 4",
+    "gtm --b 2 --m 3 factors --n 4",
+    "gtm --b 2 --m 3 winshift",
+    "winshift --subst gtm:3,2 --length 5",
+    "syncdelay --subst gtm:3,2",
+    "delta --subst gtm:3,2 --n 5",
+    "complexity --subst gtm:3,2 --upto 5",
+    "verify --subst gtm:3,2 --depth 5",
+)
+
+
+def corpus() -> list[str]:
+    commands = [c.format(s=s) for s in SUBSTS for c in PER_SUBST]
+    for b, m in GTM_PARAMS:
+        for c in PER_GTM:
+            commands.append(f"gtm --b {b} --m {m} {c}")
+            if not c.startswith("word"):
+                commands.append(f"gtm --b {b} --m {m} {c} --verify")
+        commands.append(f"verify --b {b} --m {m} --depth 5")
+    return commands + list(OTHERS)
+
+
+def replay(command: str, tmp: Path) -> list:
+    marked = tmp / "marked3.json"
+    marked.write_text(json.dumps(MARKED))
+    paths = {"marked": str(marked), "dot": str(tmp / "tree.dot"), "emit": str(tmp / "emit.json")}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([word.format(**paths) for word in command.split()])
+    kind = next((p for p in ("error:", "usage:") if err.getvalue().startswith(p)), "")
+    if err.getvalue() and not kind:
+        kind = "other"
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), kind]
+
+
+def test_golden_corpus(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    commands = corpus()
+    assert sorted(golden) == sorted(commands)
+    mismatched = [c for c in commands if replay(c, tmp_path) != golden[c]]
+    assert mismatched == []
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = {command: replay(command, Path(tmp)) for command in corpus()}
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} invocations to {GOLDEN}")

@@ -20,7 +20,8 @@ from winshift import (
     validate_strategy,
     verify_form,
 )
-from winshift.tm_reference import expand_row
+from winshift.catalog import builtin_substitution
+from winshift.tm_reference import THUE_MORSE_ROWS, compress, expand_pattern, expand_row
 
 
 def rows(texts, m=2):
@@ -64,6 +65,18 @@ def test_enumerate_matches_reference_table(tm):
         assert enumerate_irreducible(tm, n, "brute") == expand_row(n)
     for n in range(1, 25):
         assert enumerate_irreducible(tm, n, "substitutive") == expand_row(n)
+
+
+def test_compress_round_trips(tm):
+    for n, reference in THUE_MORSE_ROWS.items():
+        assert compress(expand_row(n), 2) == reference
+    # above 9 letters the rows are spelled with commas, like format_choices
+    gtm = builtin_substitution("gtm:2,11")
+    assert compress(enumerate_irreducible(gtm, 3), 11)[-2:] == ("◇,1,10", "◇,1,11")
+    for n in range(1, 6):
+        sequences = enumerate_irreducible(gtm, n)
+        rows_n = compress(sequences, 11)
+        assert frozenset().union(*(expand_pattern(r, 11) for r in rows_n)) == sequences
 
 
 def test_enumerate_named_rows(tm, ex42):
