@@ -3,8 +3,8 @@
 ``cli_golden.json`` maps each command line to (exit code, sha256 of stdout,
 stderr kind).  Stderr is compared only by its ``error:``/``usage:`` prefix, so
 domain errors may be reworded without touching the corpus.  ``{marked}`` is a
-marked three-letter substitution written as JSON; ``{dot}`` and ``{emit}``
-are scratch output paths.
+marked three-letter substitution and ``{perm4}`` a permutive four-letter one,
+both written as JSON; ``{dot}`` and ``{emit}`` are scratch output paths.
 
 Re-record after a deliberate output change with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -21,6 +21,11 @@ from winshift.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 MARKED = {"alphabet": 3, "images": [[0, 0, 1], [1, 0, 2], [2, 1, 0]], "name": "marked3"}
+PERM4 = {
+    "alphabet": 4,
+    "images": [[0, 1, 2, 3], [1, 3, 0, 2], [2, 0, 3, 1], [3, 2, 1, 0]],
+    "name": "perm4",
+}
 
 SUBSTS = ("tm", "ex42", "ex46", "gtm:2,3", "gtm:3,3", "{marked}")
 PER_SUBST = (
@@ -93,6 +98,23 @@ OTHERS = (
     "delta --subst gtm:3,2 --n 5",
     "complexity --subst gtm:3,2 --upto 5",
     "verify --subst gtm:3,2 --depth 5",
+    # long tables and lengths: the suffix-grouped rows path
+    "winshift --subst {marked} --table 1..300",
+    "winshift --subst tm --table 1..400",
+    "winshift --subst gtm:3,4 --table 1..120",
+    "winshift --subst {marked} --table 1..12 --method brute",
+    "winshift --subst gtm:2,11 --table 1..40",
+    "winshift --subst {marked} --length 3000",
+    "winshift --subst {marked} --length 3000 --format json",
+    "winshift --subst {marked} --length 3000 --format csv",
+    "winshift --subst {perm4} --table 1..200",
+    "winshift --subst {perm4} --length 5000 --format csv",
+    # errors that must leave stdout empty, and values read back as given
+    "winshift --subst gtm:3,2 --table 1..5",
+    "winshift --subst tm --table 5..3",
+    "winshift --subst tm --table 3 --length 5",
+    "gtm --b 2 --m 3 word --length -2",
+    "winset --subst gtm:2,11 --length 1 --choice-seq 10",
 )
 
 
@@ -108,9 +130,11 @@ def corpus() -> list[str]:
 
 
 def replay(command: str, tmp: Path) -> list:
-    marked = tmp / "marked3.json"
-    marked.write_text(json.dumps(MARKED))
-    paths = {"marked": str(marked), "dot": str(tmp / "tree.dot"), "emit": str(tmp / "emit.json")}
+    paths = {"dot": str(tmp / "tree.dot"), "emit": str(tmp / "emit.json")}
+    for key, subst in (("marked", MARKED), ("perm4", PERM4)):
+        path = tmp / f"{subst['name']}.json"
+        path.write_text(json.dumps(subst))
+        paths[key] = str(path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([word.format(**paths) for word in command.split()])
