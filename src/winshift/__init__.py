@@ -75,6 +75,7 @@ from .shift import (
     enumerate_irreducible,
     extend_level,
     extension_plan,
+    irreducible_groups,
     level_data,
     substitute_strategy,
     verify_form,

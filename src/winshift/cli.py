@@ -16,7 +16,7 @@ from . import complexity as cx
 from . import gtm as gtm_mod
 from . import shift
 from .catalog import gtm_parameters, resolve_substitution, substitution_to_dict
-from .errors import CapExceededError, PeriodicInputError, WinshiftError
+from .errors import CapExceededError, PeriodicInputError, PreconditionError, WinshiftError
 from .game import StrategyTree, member, winning_set, winning_set_cardinality
 from .recognizability import sync_delay
 from .substitution import (
@@ -25,7 +25,7 @@ from .substitution import (
     language,
     periodicity_probe,
 )
-from .tm_reference import compress, expand_row
+from .tm_reference import compress, compress_groups, expand_row
 from .words import format_choices, format_word, parse_choices
 
 _SYNC_CAP_ENV = "WINSHIFT_SYNC_CAP"
@@ -33,6 +33,11 @@ _SYNC_CAP_ENV = "WINSHIFT_SYNC_CAP"
 
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit_lines(lines) -> None:
+    """Write every line, each ending in a newline, in one call; none writes nothing."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 def _json(obj) -> str:
@@ -144,21 +149,43 @@ def cmd_winset(args) -> int:
     return 0
 
 
+def _winshift_groups(subst: Substitution, n: int, method: str) -> dict:
+    """The irreducible sequences of length n as suffix -> range of first letters."""
+    # at length 1 the first letter is also the last, so 1 is reducible
+    return {
+        suffix: range(1 if suffix else 2, k + 1)
+        for suffix, k in shift.irreducible_groups(subst, n, method).items()
+    }
+
+
+def _spell_sorted(groups: dict, m: int) -> list[str]:
+    """Every sequence of ``groups`` spelled, in sorted order: first letter, then suffix."""
+    tails = [
+        (firsts, format_choices((0,) + suffix, m)[1:])
+        for suffix, firsts in sorted(groups.items())
+    ]
+    top = max((firsts[-1] for firsts, _ in tails if firsts), default=0)
+    return [f"{t}{tail}" for t in range(1, top + 1) for firsts, tail in tails if t in firsts]
+
+
 def cmd_winshift(args) -> int:
     subst, _ = resolve_substitution(args.subst)
+    m = subst.size
     if args.table:
         low, high = args.table
-        for n in range(low, high + 1):
-            rows = shift.enumerate_irreducible(subst, n, args.method)
-            for row in compress(rows, subst.size):
-                _emit(f"{n}: {row}")
+        # every row is built before any is written: a failing length leaves
+        # stdout empty
+        _emit_lines([
+            f"{n}: {row}"
+            for n in range(low, high + 1)
+            for row in compress_groups(_winshift_groups(subst, n, args.method), m)
+        ])
         return 0
-    rows = shift.enumerate_irreducible(subst, args.length, args.method)
+    groups = _winshift_groups(subst, args.length, args.method)
     if args.format == "text":
-        for row in compress(rows, subst.size):
-            _emit(row)
+        _emit_lines(compress_groups(groups, m))
         return 0
-    ordered = [format_choices(r, subst.size) for r in sorted(rows)]
+    ordered = _spell_sorted(groups, m)
     if args.format == "json":
         _emit(
             _json(
@@ -237,6 +264,8 @@ def _gtm_form(kind: str, b: int, m: int, n: int | None):
 def cmd_gtm(args) -> int:
     b, m, kind = args.b, args.m, args.gtm_command
     if kind == "word":
+        if args.length < 0:
+            raise PreconditionError("prefix length must be nonnegative")
         _emit(format_word(tuple(gtm_mod.gtm_letter(b, m, i) for i in range(args.length)), m))
         return 0
     # the subcommand's size option: --n, --length or --upto; syncdelay has none
@@ -251,8 +280,7 @@ def cmd_gtm(args) -> int:
     elif kind == "factors":
         _print_words(shown, m)
     elif kind == "winshift":
-        for row in compress(shown, m):
-            _emit(row)
+        _emit_lines(compress(shown, m))
     else:
         _emit(f"L = {shown}" if kind == "syncdelay" else str(shown))
     if verdict is not None and getattr(args, "format", None) != "json":
@@ -420,12 +448,16 @@ def strategy_to_dot(tree: StrategyTree, alphabet_size: int) -> str:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """``A..B`` as (A, B), or a bare ``B`` as (1, B); argparse reports a bad one."""
+    """``A..B`` as (A, B), or a bare ``B`` as (1, B); argparse reports a bad
+    or reversed one."""
     low, dots, high = text.partition("..")
     try:
-        return (int(low), int(high)) if dots else (1, int(text))
+        bounds = (int(low), int(high)) if dots else (1, int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B or B, got {text!r}") from None
+    if bounds[0] > bounds[1]:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: expected A..B with A <= B")
+    return bounds
 
 
 def _parse_cap(text: str) -> int:
@@ -560,8 +592,14 @@ def _run(args) -> int:
 
 def _usage_problem(args) -> str | None:
     """A rule the command line breaks that argparse does not check."""
-    if args.command == "winshift" and args.length is None and args.table is None:
-        return "winshift needs --length or --table"
+    if args.command == "winshift":
+        if args.length is None and args.table is None:
+            return "winshift needs --length or --table"
+        if args.table is not None and args.length is not None:
+            return "winshift takes --length or --table, not both"
+        if args.table is not None and args.format != "text":
+            return "winshift --table prints text rows only; drop --format"
+        return None
     if args.command != "verify":
         return None
     if args.subst and (args.b is not None or args.m is not None):

@@ -25,7 +25,7 @@ from .game import (
 )
 from .recognizability import decomposition, sync_delay
 from .substitution import Substitution, language
-from .words import ChoiceSequence, Word, is_irreducible, stretch
+from .words import ChoiceSequence, Word, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,14 @@ def head_words_closed_form(k: int, head: int) -> frozenset[ChoiceSequence]:
     return frozenset((t,) + pad for t in range(1, k + 1))
 
 
+@lru_cache(maxsize=None)
 def _head_groups(
     subst: Substitution, k: int, first_choices, head: int
 ) -> dict[ChoiceSequence, tuple[int, tuple[int, ...]]]:
     # Group winning head sequences by everything after their first letter;
     # each group carries its own maximal first letter and first-choice set.
+    # The game depends on the key alone, so each one is solved once (at most
+    # 2^s * s * M keys per substitution); callers must not mutate the result.
     if subst.permutive:
         next_choices = tuple(
             sorted(subst.image(c)[subst.uniform_length - head] for c in first_choices)
@@ -140,7 +143,10 @@ def _extend_entries(
     M = subst.uniform_length
     out: dict[ChoiceSequence, tuple[int, tuple[int, ...]]] = {}
     for suffix, (k, first_choices) in level.entries.items():
-        tail = stretch(suffix[:-1], M) + (suffix[-1],)
+        # stretch(suffix[:-1], M) + (suffix[-1],) in one slice assignment
+        body = [1] * ((len(suffix) - 1) * M + 1)
+        body[::M] = suffix
+        tail = tuple(body)
         for group_tail, entry in _head_groups(subst, k, first_choices, head).items():
             out[group_tail + tail] = entry
     return out
@@ -180,20 +186,43 @@ def enumerate_irreducible(
     and falls back to brute force on the base window.  ``auto`` picks
     the extension whenever it applies.
     """
+    if _from_levels(subst, n, method):
+        return _expand_entries(_level(subst, n).entries)
+    return _enumerate_brute(subst, n)
+
+
+def irreducible_groups(
+    subst: Substitution, n: int, method: str = "auto"
+) -> dict[ChoiceSequence, int]:
+    """The irreducible winning sequences of length ``n`` grouped by suffix.
+
+    Maps each suffix u to the largest first letter k with k.u winning; the
+    group is every irreducible t.u with t <= k, which is exact because
+    winning sets are downward closed.  ``method`` picks the path as in
+    :func:`enumerate_irreducible`, whose result the groups expand to.
+    """
+    if _from_levels(subst, n, method):
+        return {suffix: k for suffix, (k, _) in _level(subst, n).entries.items()}
+    groups: dict[ChoiceSequence, int] = {}
+    for seq in _enumerate_brute(subst, n):
+        suffix = seq[1:]
+        groups[suffix] = max(groups.get(suffix, 0), seq[0])
+    return groups
+
+
+def _from_levels(subst: Substitution, n: int, method: str) -> bool:
+    """Whether length ``n`` is read from the substitutive level data."""
     if n < 1:
         raise PreconditionError("length must be >= 1")
     if method not in ("auto", "brute", "substitutive"):
         raise PreconditionError(f"unknown method {method!r}")
     if method == "brute":
-        return _enumerate_brute(subst, n)
+        return False
     if method == "substitutive":
         subst.require("substitutive enumeration", "uniform", "marked")
-        if n < 2 or n <= _delay(subst):
-            return _enumerate_brute(subst, n)
-        return _expand_entries(_level(subst, n).entries)
-    if subst.uniform and subst.marked and n >= 2 and n > _delay(subst):
-        return _expand_entries(_level(subst, n).entries)
-    return _enumerate_brute(subst, n)
+    elif not (subst.uniform and subst.marked):
+        return False
+    return n >= 2 and n > _delay(subst)
 
 
 def _enumerate_brute(subst: Substitution, n: int) -> frozenset[ChoiceSequence]:

@@ -70,16 +70,21 @@ def compress(sequences, m: int) -> tuple[str, ...]:
     groups: dict[ChoiceSequence, set[int]] = {}
     for seq in sequences:
         groups.setdefault(tuple(seq[1:]), set()).add(seq[0])
+    return compress_groups(groups, m)
+
+
+def compress_groups(groups, m: int) -> tuple[str, ...]:
+    """The rows of :func:`compress` from a map suffix -> its first letters."""
     rows: list[str] = []
     for suffix in sorted(groups):
-        firsts = groups[suffix]
+        firsts = sorted(groups[suffix])
         # At length 1 the first letter is also the last, so 1 is reducible
         # and a wildcard row can only ever cover 2..m.
-        covered = set(range(1, m + 1)) if suffix else set(range(2, m + 1))
+        covered = range(1 if suffix else 2, m + 1)
         # the suffix with its leading separator, if any; formatted once
         tail = format_choices((0,) + suffix, m)[1:]
-        if firsts == covered:
+        if firsts == list(covered):
             rows.append(WILDCARD + tail)
         else:
-            rows.extend(f"{first}{tail}" for first in sorted(firsts))
+            rows.extend(f"{first}{tail}" for first in firsts)
     return tuple(rows)

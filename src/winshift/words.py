@@ -8,8 +8,6 @@ set in the package is just a sorted collection of tuples.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .errors import PreconditionError
 
 Word = tuple[int, ...]
@@ -45,10 +43,9 @@ def stretch(seq: ChoiceSequence, factor: int) -> ChoiceSequence:
     """Replace every letter k of ``seq`` by the block k 1^(factor-1)."""
     if factor < 1:
         raise PreconditionError("stretch factor must be >= 1")
-    if factor == 1:
-        return tuple(seq)
-    pad = (1,) * (factor - 1)
-    return tuple(chain.from_iterable((k,) + pad for k in seq))
+    out = [1] * (len(seq) * factor)
+    out[::factor] = seq
+    return tuple(out)
 
 
 def is_irreducible(seq: ChoiceSequence) -> bool:
@@ -70,7 +67,7 @@ def format_word(w: Word, alphabet_size: int) -> str:
 
 def parse_word(text: str, alphabet_size: int) -> Word:
     """Inverse of :func:`format_word`; letters must lie in 0..size-1."""
-    letters = _parse_letters(text)
+    letters = _parse_letters(text, alphabet_size)
     for a in letters:
         if not 0 <= a < alphabet_size:
             raise PreconditionError(f"letter {a} outside alphabet 0..{alphabet_size - 1}")
@@ -84,18 +81,20 @@ def format_choices(seq: ChoiceSequence, alphabet_size: int) -> str:
 
 def parse_choices(text: str, alphabet_size: int) -> ChoiceSequence:
     """Inverse of :func:`format_choices`; letters must lie in 1..size."""
-    letters = _parse_letters(text)
+    letters = _parse_letters(text, alphabet_size)
     for a in letters:
         if not 1 <= a <= alphabet_size:
             raise PreconditionError(f"choice letter {a} outside 1..{alphabet_size}")
     return letters
 
 
-def _parse_letters(text: str) -> tuple[int, ...]:
+def _parse_letters(text: str, alphabet_size: int) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    parts = text.split(",") if "," in text else list(text)
+    # above 9 letters words are comma separated, so a comma-free string is
+    # one letter: (10,) is spelled 10
+    parts = text.split(",") if "," in text or alphabet_size > 9 else list(text)
     try:
         return tuple(int(p) for p in parts)
     except ValueError as exc:

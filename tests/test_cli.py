@@ -137,6 +137,11 @@ def test_usage_errors(capsys):
         ["verify", "--b", "2", "--m", "3", "--depth", "-1"],
         ["verify", "--subst", "tm", "--b", "3", "--m", "4"],
         ["verify", "--subst", "tm", "--m", "4"],
+        # --table takes a nonempty range and ignores no other option
+        ["winshift", "--subst", "tm", "--table", "5..3"],
+        ["winshift", "--subst", "tm", "--table", "0"],
+        ["winshift", "--subst", "tm", "--table", "3", "--length", "5"],
+        ["winshift", "--subst", "tm", "--table", "3", "--format", "json"],
     ):
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
@@ -213,6 +218,37 @@ def test_periodic_input_names_the_stall(capsys, monkeypatch):
     monkeypatch.setattr(cli, "periodicity_probe", None)
     code, out = run(capsys, "winshift", "--subst", "tm", "--length", "10")
     assert (code, out) == (0, "◇111111112\n◇211111112\n")
+
+
+def test_failing_table_leaves_stdout_empty(capsys):
+    # length 1 of the periodic gtm:3,2 succeeds, length 2 fails: no row is kept
+    assert main(["winshift", "--subst", "gtm:3,2", "--table", "1..5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the substitution is periodic")
+    code, out = run(capsys, "winshift", "--subst", "gtm:3,2", "--table", "1")
+    assert (code, out) == (0, "1: ◇\n")
+
+
+def test_gtm_word_negative_length_is_domain_error(capsys):
+    for argv in (
+        ["gtm", "--b", "2", "--m", "3", "word", "--length", "-2"],
+        ["fixedpoint", "--subst", "tm", "--length", "-2"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: prefix length must be nonnegative\n"
+
+
+def test_choice_letters_above_nine(capsys):
+    # format_choices spells the one-letter sequence (10,) as "10"
+    code, out = run(
+        capsys, "winset", "--subst", "gtm:2,11", "--length", "1", "--choice-seq", "10"
+    )
+    assert (code, out) == (0, "win\n")
+    assert main(["winset", "--subst", "gtm:2,11", "--length", "1", "--choice-seq", "12"]) == 1
+    assert "choice letter 12 outside 1..11" in capsys.readouterr().err
 
 
 def test_output_determinism(capsys):

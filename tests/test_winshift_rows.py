@@ -1,0 +1,127 @@
+"""Winning-shift rows read from the suffix groups of the level data.
+
+The CLI renders ``winshift`` output from ``irreducible_groups`` (suffix ->
+largest first letter) instead of expanding every sequence and regrouping
+it.  These tests hold the grouped path to the sequence path it replaced:
+``reference_compress`` is ``compress`` as it was written over the expanded
+sequences, and brute force is the independent check of the levels.
+"""
+
+import random
+
+import pytest
+
+from winshift import (
+    builtin_substitution,
+    enumerate_irreducible,
+    format_choices,
+    is_irreducible,
+    make_substitution,
+    periodicity_probe,
+)
+from winshift import cli
+from winshift.shift import irreducible_groups
+from winshift.tm_reference import WILDCARD, compress, compress_groups, expand_pattern
+
+MAX_N = 60
+# brute force grows about cubically in n; past this length only the level
+# paths run, and they are checked against brute force below it
+BRUTE_N = 24
+
+
+def reference_compress(sequences, m):
+    """``compress`` over the expanded sequences, as the CLI used to run it."""
+    groups = {}
+    for seq in sequences:
+        groups.setdefault(tuple(seq[1:]), set()).add(seq[0])
+    rows = []
+    for suffix in sorted(groups):
+        firsts = groups[suffix]
+        covered = set(range(1, m + 1)) if suffix else set(range(2, m + 1))
+        tail = format_choices((0,) + suffix, m)[1:]
+        if firsts == covered:
+            rows.append(WILDCARD + tail)
+        else:
+            rows.extend(f"{first}{tail}" for first in sorted(firsts))
+    return tuple(rows)
+
+
+def random_marked(count, seed):
+    """Seeded primitive aperiodic marked uniform substitutions, s <= 3, M <= 3."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        s, M = rng.choice((2, 3)), rng.choice((2, 3))
+        firsts, lasts = rng.sample(range(s), s), rng.sample(range(s), s)
+        images = [
+            (firsts[a],) + tuple(rng.randrange(s) for _ in range(M - 2)) + (lasts[a],)
+            for a in range(s)
+        ]
+        subst = make_substitution(images)
+        # periodic inputs have no synchronization delay: out of the domain
+        if subst.primitive and not periodicity_probe(subst).periodic:
+            found.append(pytest.param(subst, id=f"random-{images}"))
+    return found
+
+
+SUBSTS = [
+    pytest.param(builtin_substitution(name), id=name)
+    for name in ("tm", "ex42", "ex46", "gtm:2,3", "gtm:3,3", "gtm:2,11")
+] + [
+    pytest.param(make_substitution([(0, 0, 1), (1, 0, 2), (2, 1, 0)]), id="marked3"),
+    pytest.param(
+        make_substitution([(0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0)]),
+        id="perm4",
+    ),
+] + random_marked(6, seed=20171)
+
+
+def expand(groups):
+    return frozenset(
+        (t,) + suffix
+        for suffix, k in groups.items()
+        for t in range(1, k + 1)
+        if is_irreducible((t,) + suffix)
+    )
+
+
+@pytest.mark.parametrize("subst", SUBSTS)
+def test_groups_and_rows_match_the_sequence_path(subst):
+    m = subst.size
+    methods = ["auto", "brute"]
+    if subst.uniform and subst.marked:
+        methods.append("substitutive")
+    for method in methods:
+        for n in range(1, (BRUTE_N if method == "brute" else MAX_N) + 1):
+            sequences = enumerate_irreducible(subst, n, method)
+            groups = irreducible_groups(subst, n, method)
+            assert expand(groups) == sequences
+            assert all(len(seq) == n for seq in sequences)
+            assert all(is_irreducible((k,) + suffix) for suffix, k in groups.items())
+            reference = reference_compress(sequences, m)
+            assert compress(sequences, m) == reference
+            firsts = cli._winshift_groups(subst, n, method)
+            assert compress_groups(firsts, m) == reference
+            ordered = [format_choices(seq, m) for seq in sorted(sequences)]
+            assert cli._spell_sorted(firsts, m) == ordered
+            if method != "brute" and n <= BRUTE_N:
+                assert sequences == enumerate_irreducible(subst, n, "brute")
+
+
+def test_compress_keeps_its_meaning_on_any_set():
+    # not downward closed: only the listed first letters are spelled
+    assert compress({(2, 3)}, 3) == ("23",)
+    assert compress({(1, 2), (3, 2)}, 3) == ("12", "32")
+    assert compress({(1, 2), (2, 2), (3, 2)}, 3) == ("◇2",)
+    assert compress({(2,), (3,)}, 3) == ("◇",)
+    assert compress({(3,)}, 3) == ("3",)
+    assert compress(set(), 3) == ()
+    assert compress_groups({(2,): range(1, 3)}, 2) == ("◇2",)
+
+
+def test_rows_above_nine_letters_read_back():
+    # a length-1 row such as "10" is one letter, not the digits 1 and 0
+    for sequences in ({(10,)}, {(2,), (10,)}, {(3, 10)}, {(t,) for t in range(2, 12)}):
+        rows = compress(sequences, 11)
+        assert frozenset().union(*(expand_pattern(r, 11) for r in rows)) == sequences
+    assert compress({(10,)}, 11) == ("10",)

@@ -1,3 +1,5 @@
+from itertools import chain, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,23 @@ def test_stretch_shape(seq, factor):
             assert letter == 1
 
 
+def reference_stretch(seq, factor):
+    """The per-letter generator ``stretch`` was first written as."""
+    pad = (1,) * (factor - 1)
+    return tuple(chain.from_iterable((k,) + pad for k in seq))
+
+
+def test_stretch_matches_reference():
+    sequences = [seq for size in range(6) for seq in product(range(1, 4), repeat=size)]
+    sequences += [tuple(range(1, 41)), (7,) * 1000]
+    for factor in range(1, 5):
+        for seq in sequences:
+            assert stretch(seq, factor) == reference_stretch(seq, factor)
+    assert stretch([2, 1], 2) == (2, 1, 1, 1)  # any sequence, always a tuple
+    with pytest.raises(PreconditionError):
+        stretch((2,), 0)
+
+
 @given(choice_seqs, choice_seqs, st.integers(1, 4))
 def test_stretch_injective(u, v, factor):
     if u != v:
@@ -121,3 +140,18 @@ def test_parse_validates_range():
         parse_choices("102", 2)
     with pytest.raises(PreconditionError):
         parse_choices("x", 2)
+
+
+def test_comma_free_text_is_one_letter_above_nine():
+    # above 9 letters format_choices spells (10,) as "10", not as "1,0"
+    for size in (10, 11, 12):
+        for length in (1, 2):
+            for seq in product(range(1, size + 1), repeat=length):
+                assert parse_choices(format_choices(seq, size), size) == seq
+        for length in (0, 1, 2):
+            for w in product(range(size), repeat=length):
+                assert parse_word(format_word(w, size), size) == w
+    assert parse_choices("10", 11) == (10,)
+    assert parse_word("10", 9) == (1, 0)  # up to 9 letters every digit is a letter
+    with pytest.raises(PreconditionError):
+        parse_choices("2212", 11)  # one letter, outside 1..11
