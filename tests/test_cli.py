@@ -205,12 +205,16 @@ def test_periodic_input_names_the_stall(capsys, monkeypatch):
         ["syncdelay", "--subst", "gtm:3,2"],
         ["delta", "--subst", "gtm:3,2", "--n", "5"],
         ["complexity", "--subst", "gtm:3,2", "--upto", "5"],
+        # length 1 alone prints "1: ◇"; a table is all or nothing
+        ["winshift", "--subst", "gtm:3,2", "--table", "1..5"],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "periodic: its factor complexity stalls at length 1" in captured.err
         assert "raise the cap" not in captured.err
+    code, out = run(capsys, "winshift", "--subst", "gtm:3,2", "--table", "1")
+    assert (code, out) == (0, "1: ◇\n")
     # an aperiodic input that merely hits a small cap keeps the cap message
     assert main(["syncdelay", "--subst", "tm", "--cap", "2"]) == 1
     assert "raise the cap" in capsys.readouterr().err
@@ -218,16 +222,6 @@ def test_periodic_input_names_the_stall(capsys, monkeypatch):
     monkeypatch.setattr(cli, "periodicity_probe", None)
     code, out = run(capsys, "winshift", "--subst", "tm", "--length", "10")
     assert (code, out) == (0, "◇111111112\n◇211111112\n")
-
-
-def test_failing_table_leaves_stdout_empty(capsys):
-    # length 1 of the periodic gtm:3,2 succeeds, length 2 fails: no row is kept
-    assert main(["winshift", "--subst", "gtm:3,2", "--table", "1..5"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: the substitution is periodic")
-    code, out = run(capsys, "winshift", "--subst", "gtm:3,2", "--table", "1")
-    assert (code, out) == (0, "1: ◇\n")
 
 
 def test_gtm_word_negative_length_is_domain_error(capsys):
