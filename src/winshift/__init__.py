@@ -39,6 +39,7 @@ from .game import (
     residual,
     strategy_choice_sequence,
     strategy_plays,
+    validate_refutation,
     validate_strategy,
     winning_members,
     winning_set,

@@ -13,15 +13,19 @@ the distinct left quotients ("what is still needed after a prefix"), so
 the winning set of each quotient is computed once, bottom-up by remaining
 length, and strategies and refutations walk the one transition table.
 Quotients of subshift languages collapse onto follower sets, so the
-automaton stays small.  Maximal winning sequences are found by testing
-one-letter raises, which is exact for a downward closed set.
+automaton stays small.  The automaton is built from the trie of the sorted
+target, level by level, and winning sets are sets of hash-consed integer
+ids of choice sequences (a letter followed by the id of the rest), so no
+step copies or hashes a whole sequence: a state costs time in proportion
+to its children's winning sets, whatever the word length.  Maximal winning
+sequences are found by testing one-letter raises, which is exact for a
+downward closed set.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import combinations
 
 from .errors import InternalConsistencyError, PreconditionError
@@ -53,6 +57,9 @@ def residual(X, c: int) -> frozenset[Word]:
 
 
 _DEAD, _ACCEPT = 0, 1
+# The id of a choice sequence that no state wins: no winning set holds it,
+# and no interned pair has it as a tail.
+_ABSENT = -1
 
 
 @dataclass(frozen=True)
@@ -62,53 +69,100 @@ class _Automaton:
     State 0 is the empty quotient (no letter leads anywhere) and state 1
     the quotient {()}; every other state is one distinct nonempty left
     quotient.  Ids grow bottom-up, so a state's children have smaller ids.
-    ``delta[q]`` maps letters to children in ascending letter order.
+    ``delta[q]`` is the signature of q: its (letter, child) pairs in
+    ascending letter order.
+
+    Winning sets hold hash-consed choice sequences: id 0 is ``()`` and
+    ``cons[i] == (t, j)`` says that sequence i is the letter t followed by
+    sequence j; ``ids`` maps each such pair back to i.  Equal sequences get
+    one id in every state, so ``wins[q]`` is a set of ints, and a sequence
+    is tested by interning its suffixes once.
     """
 
     root: int
-    delta: tuple[dict[int, int], ...]
-    wins: tuple[frozenset[ChoiceSequence], ...]
+    delta: tuple[tuple[tuple[int, int], ...], ...]
+    wins: tuple[frozenset[int], ...]
+    cons: tuple[tuple[int, int], ...]
+    ids: dict[tuple[int, int], int]
 
-    def child(self, state: int, c: int) -> int:
-        return self.delta[state].get(c, _DEAD)
+    def suffix_ids(self, seq: ChoiceSequence) -> list[int]:
+        """Ids of ``seq[i:]`` for i = 0..len(seq); ``_ABSENT`` where no state wins it."""
+        out = [0]
+        for t in reversed(seq):
+            out.append(self.ids.get((t, out[-1]), _ABSENT))
+        out.reverse()
+        return out
+
+    def spell(self, i: int) -> ChoiceSequence:
+        letters = []
+        while i:
+            t, i = self.cons[i]
+            letters.append(t)
+        return tuple(letters)
+
+
+def _common_prefix(u: Word, v: Word) -> int:
+    k = 0
+    while u[k] == v[k]:
+        k += 1
+    return k
 
 
 @lru_cache(maxsize=None)
 def _automaton(target: frozenset[Word]) -> _Automaton:
-    delta: list[dict[int, int]] = [{}, {}]
-    wins: list[frozenset[ChoiceSequence]] = [frozenset(), frozenset({()})]
-    if not target:
-        return _Automaton(_DEAD, tuple(delta), tuple(wins))
-    # Minimise the trie of the target bottom-up: ``level`` maps the
-    # prefixes of one length to their states.  A state's signature is its
-    # sorted (letter, child) pairs, and two prefixes have the same quotient
-    # iff their signatures agree; the empty signature is the accepting state.
-    register: dict[tuple[tuple[int, int], ...], int] = {}
-    level: dict[Word, int] = dict.fromkeys(target, _ACCEPT)
-    for _ in range(_target_length(target)):
-        edges: dict[Word, list[tuple[int, int]]] = {}
-        for prefix, state in level.items():
-            edges.setdefault(prefix[:-1], []).append((prefix[-1], state))
-        level = {}
-        for prefix, pairs in edges.items():
-            signature = tuple(sorted(pairs))
-            state = register.get(signature)
-            if state is None:
-                state = register[signature] = len(delta)
-                delta.append(dict(signature))
-                # Backward induction: k.b wins iff b wins the quotient game
-                # for at least k distinct first letters.
-                counts = Counter(beta for _, q in signature for beta in wins[q])
-                wins.append(
-                    frozenset((t,) + beta for beta, k in counts.items() for t in range(1, k + 1))
-                )
-            level[prefix] = state
-    return _Automaton(level[()], tuple(delta), tuple(wins))
+    delta: list[tuple[tuple[int, int], ...]] = [(), ()]
+    wins: list[frozenset[int]] = [frozenset(), frozenset({0})]
+    # Pair (t, j) gets the next free id; ids are never reused, so ``cons``
+    # is the keys of ``ids`` in insertion order after the entry for ().
+    ids: dict[tuple[int, int], int] = {}
+    register: dict[tuple[tuple[int, int], ...], int] = {(): _ACCEPT}
+
+    def state_of(signature: tuple[tuple[int, int], ...]) -> int:
+        # Two trie nodes have the same quotient iff their (letter, child)
+        # pairs agree; the empty signature is the accepting state.
+        state = register.get(signature)
+        if state is None:
+            state = register[signature] = len(delta)
+            delta.append(signature)
+            # Backward induction: k.b wins iff b wins the quotient game for
+            # at least k distinct first letters.
+            if len(signature) == 1:
+                counts = dict.fromkeys(wins[signature[0][1]], 1)
+            else:
+                counts = {}
+                for _, q in signature:
+                    for beta in wins[q]:
+                        counts[beta] = counts.get(beta, 0) + 1
+            wins.append(frozenset([
+                ids.setdefault((t, beta), len(ids) + 1)
+                for beta, k in counts.items()
+                for t in range(1, k + 1)
+            ]))
+        return state
+
+    # Minimise the trie of the sorted target bottom-up by depth.  Its nodes
+    # at depth d are the runs of words sharing a prefix of length d, named
+    # by their first word; the run at depth d + 1 starting at word i opens a
+    # new run at depth d iff words i - 1 and i share fewer than d letters.
+    # Runs come in ascending order, so every signature is already sorted.
+    words = sorted(target)
+    common = [-1] + [_common_prefix(u, v) for u, v in zip(words, words[1:])]
+    starts = list(range(len(words)))
+    states = [_ACCEPT] * len(words)
+    for d in reversed(range(_target_length(target))):
+        pairs = [(words[i][d], state) for i, state in zip(starts, states)]
+        cuts = [k for k, i in enumerate(starts) if common[i] < d]
+        starts = [starts[k] for k in cuts]
+        cuts.append(len(pairs))
+        states = [state_of(tuple(pairs[a:b])) for a, b in zip(cuts, cuts[1:])]
+    root = states[0] if states else _DEAD
+    return _Automaton(root, tuple(delta), tuple(wins), ((0, 0), *ids), ids)
 
 
+@lru_cache(maxsize=None)
 def _members(target: frozenset[Word]) -> frozenset[ChoiceSequence]:
     automaton = _automaton(target)
-    return automaton.wins[automaton.root]
+    return frozenset(map(automaton.spell, automaton.wins[automaton.root]))
 
 
 def winning_members(X) -> frozenset[ChoiceSequence]:
@@ -186,9 +240,9 @@ def max_first_choice(X, u, alphabet_size: int | None = None) -> tuple[int, tuple
         raise PreconditionError("suffix must be one letter shorter than the target words")
     size = _infer_alphabet(target, alphabet_size)
     automaton = _automaton(target)
-    winners = tuple(
-        c for c in range(size) if u in automaton.wins[automaton.child(automaton.root, c)]
-    )
+    suffix = automaton.suffix_ids(u)[0]
+    kids = dict(automaton.delta[automaton.root])
+    winners = tuple(c for c in range(size) if suffix in automaton.wins[kids.get(c, _DEAD)])
     return len(winners), winners
 
 
@@ -228,36 +282,43 @@ class MemberResult:
     refutation: Refutation | None = None
 
 
-def member(X, alpha, alphabet_size: int | None = None) -> MemberResult:
-    """Decide whether Alice wins with ``alpha`` and certify the answer."""
-    target = _as_target(X)
-    alpha = tuple(alpha)
-    size = _infer_alphabet(target, alphabet_size)
+def _check_choices(target: frozenset[Word], alpha: ChoiceSequence, size: int) -> None:
     if target and len(alpha) != _target_length(target):
         raise PreconditionError("choice sequence length must match the target word length")
     for k in alpha:
         if not 1 <= k <= size:
             raise PreconditionError(f"choice letter {k} outside 1..{size}")
+
+
+def member(X, alpha, alphabet_size: int | None = None) -> MemberResult:
+    """Decide whether Alice wins with ``alpha`` and certify the answer."""
+    target = _as_target(X)
+    alpha = tuple(alpha)
+    size = _infer_alphabet(target, alphabet_size)
+    _check_choices(target, alpha, size)
     automaton = _automaton(target)
-    if alpha in automaton.wins[automaton.root]:
-        return MemberResult(True, strategy=_strategy(automaton, alpha))
-    return MemberResult(False, refutation=_refutation(automaton, alpha, size))
+    suffixes = automaton.suffix_ids(alpha)
+    if suffixes[0] in automaton.wins[automaton.root]:
+        return MemberResult(True, strategy=_strategy(automaton, alpha, suffixes))
+    return MemberResult(False, refutation=_refutation(automaton, alpha, suffixes, size))
 
 
-def _strategy(automaton: _Automaton, alpha: ChoiceSequence) -> StrategyTree:
+def _strategy(automaton: _Automaton, alpha: ChoiceSequence, suffixes: list[int]) -> StrategyTree:
     # Deterministic extraction: offer the lexicographically least subset
     # of letters whose quotient game stays winning.  Nodes are filled from
-    # a stack, so long games do not recurse.
-    rests = [alpha[i + 1:] for i in range(len(alpha))]
+    # a stack, so long games do not recurse.  ``suffixes[i]`` is the id of
+    # ``alpha[i:]``.
+    wins = automaton.wins
     root = StrategyTree(())
     stack = [(root, automaton.root, 0)]
     while stack:
         node, state, i = stack.pop()
         if i == len(alpha):
             continue
+        rest = suffixes[i + 1]
         offer: list[tuple[int, int]] = []
-        for c, child in automaton.delta[state].items():
-            if rests[i] in automaton.wins[child]:
+        for c, child in automaton.delta[state]:
+            if rest in wins[child]:
                 offer.append((c, child))
                 if len(offer) == alpha[i]:
                     break
@@ -270,36 +331,36 @@ def _strategy(automaton: _Automaton, alpha: ChoiceSequence) -> StrategyTree:
     return root
 
 
-def _refutation(automaton: _Automaton, alpha: ChoiceSequence, size: int) -> Refutation:
+def _refutation(
+    automaton: _Automaton, alpha: ChoiceSequence, suffixes: list[int], size: int
+) -> Refutation:
     # Bob answers each offer with its first letter whose quotient game loses
     # the rest.  Nodes are shared per (state, round): the round fixes the
     # rest of alpha, so this is the memo on (quotient, rest of alpha).
-    rests = [alpha[i + 1:] for i in range(len(alpha))]
+    wins = automaton.wins
+    offers = {k: tuple(combinations(range(size), k)) for k in set(alpha)}
     memo: dict[tuple[int, int], Refutation] = {}
-    pending: list[tuple[Refutation, int, int]] = []
-
-    def node_for(state: int, i: int) -> Refutation:
-        node = memo.get((state, i))
-        if node is None:
-            node = memo[state, i] = Refutation({})
-            pending.append((node, state, i))
-        return node
-
-    root = node_for(automaton.root, 0)
+    root = memo[automaton.root, 0] = Refutation({})
+    pending = [(root, automaton.root, 0)]
     while pending:
         node, state, i = pending.pop()
         if i == len(alpha):
             if state != _DEAD:
                 raise InternalConsistencyError("refutation requested for a won empty game")
             continue
-        for offered in combinations(range(size), alpha[i]):
+        rest, kids = suffixes[i + 1], dict(automaton.delta[state])
+        for offered in offers[alpha[i]]:
             for c in offered:
-                child = automaton.child(state, c)
-                if rests[i] not in automaton.wins[child]:
-                    node.responses[offered] = (c, node_for(child, i + 1))
+                child = kids.get(c, _DEAD)
+                if rest not in wins[child]:
                     break
             else:
                 raise InternalConsistencyError("refutation requested for a winning sequence")
+            answer = memo.get((child, i + 1))
+            if answer is None:
+                answer = memo[child, i + 1] = Refutation({})
+                pending.append((answer, child, i + 1))
+            node.responses[offered] = (c, answer)
     return root
 
 
@@ -341,13 +402,54 @@ def branch_rounds(tree: StrategyTree) -> tuple[int, ...]:
 
 
 def branch_profile(tree: StrategyTree):
-    """Branch skeleton as nested arities; letter identities are ignored."""
-    if tree.is_leaf:
-        return ()
-    return (
-        len(tree.offer),
-        tuple(sorted(branch_profile(child) for child in tree.children.values())),
-    )
+    """Branch skeleton as nested arities; letter identities are ignored.
+
+    A leaf is ``()`` and any other node ``(len(offer), sorted child
+    skeletons)``.  Nodes are visited post-order from an explicit stack, and
+    each distinct skeleton gets an id with its shape ``(arity, child ids)``,
+    so siblings are sorted by walking shapes in a loop, and long games
+    neither recurse nor compare deep tuples.
+    """
+    shapes: list[tuple[int, tuple[int, ...]]] = []
+    shape_ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    node_ids: dict[int, int] = {}
+
+    def compare(a: int, b: int) -> int:
+        # tuple order on the skeletons: arity first, then children in turn
+        while a != b:
+            (k, xs), (m, ys) = shapes[a], shapes[b]
+            if k != m:
+                return -1 if k < m else 1
+            for x, y in zip(xs, ys):
+                if x != y:
+                    a, b = x, y
+                    break
+            else:
+                return (len(xs) > len(ys)) - (len(xs) < len(ys))
+        return 0
+
+    stack = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in node_ids:
+            continue
+        if node.is_leaf:
+            shape = (0, ())
+        elif expanded:
+            child_ids = (node_ids[id(child)] for child in node.children.values())
+            shape = (len(node.offer), tuple(sorted(child_ids, key=cmp_to_key(compare))))
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children.values())
+            continue
+        node_ids[id(node)] = shape_ids.setdefault(shape, len(shapes))
+        if len(shape_ids) > len(shapes):
+            shapes.append(shape)
+    # ids grow post-order, so children are spelled before their parents
+    skeletons: list[tuple] = []
+    for k, children in shapes:
+        skeletons.append((k, tuple(skeletons[c] for c in children)) if k else ())
+    return skeletons[node_ids[id(tree)]]
 
 
 def validate_strategy(tree: StrategyTree, X) -> bool:
@@ -361,12 +463,20 @@ def validate_strategy(tree: StrategyTree, X) -> bool:
         if set(node.children) != set(node.offer):
             return False
         stack.extend(node.children.values())
-    strategy_choice_sequence(tree)
+    try:
+        strategy_choice_sequence(tree)
+    except InternalConsistencyError:
+        return False
     return strategy_plays(tree) <= target
 
 
 def refutation_plays(ref: Refutation) -> frozenset[Word]:
-    """All words reachable when Bob follows the refutation; may be large."""
+    """All words reachable when Bob follows the refutation.
+
+    A refutation shares its nodes, so the plays can double with every round
+    and this set can be exponential in the game length; to check a
+    refutation use ``validate_refutation``, which never expands them.
+    """
     out: set[Word] = set()
     stack: list[tuple[Word, Refutation]] = [((), ref)]
     while stack:
@@ -377,3 +487,34 @@ def refutation_plays(ref: Refutation) -> frozenset[Word]:
         for _, (c, child) in node.responses.items():
             stack.append((prefix + (c,), child))
     return frozenset(out)
+
+
+def validate_refutation(ref: Refutation, X, alpha, alphabet_size: int | None = None) -> bool:
+    """Replay Bob's table against every offer; True iff no play ends in the target.
+
+    Each (node, quotient) pair is replayed once, the quotients being
+    frozensets of suffixes of ``X``, so shared continuations cost nothing
+    extra and the check stays polynomial where ``refutation_plays`` is not.
+    It uses none of the solver's state, so it checks the solver
+    independently.  A pick outside its offer, or an offer the table does not
+    answer while the play can still reach the target, fails the check.
+    """
+    target = _as_target(X)
+    alpha = tuple(alpha)
+    size = _infer_alphabet(target, alphabet_size)
+    _check_choices(target, alpha, size)
+    seen: set[tuple[int, frozenset[Word]]] = set()
+    stack = [(ref, target, 0)]
+    while stack:
+        node, quotient, i = stack.pop()
+        if not quotient or (id(node), quotient) in seen:
+            continue
+        seen.add((id(node), quotient))
+        if i == len(alpha):
+            return False
+        for offered in combinations(range(size), alpha[i]):
+            c, child = node.responses.get(offered, (None, None))
+            if c not in offered:
+                return False
+            stack.append((child, frozenset(w[1:] for w in quotient if w[0] == c), i + 1))
+    return True

@@ -10,6 +10,7 @@ from winshift import (
     Refutation,
     StrategyTree,
     PreconditionError,
+    branch_profile,
     branch_rounds,
     is_irreducible,
     language,
@@ -21,6 +22,7 @@ from winshift import (
     residual,
     strategy_choice_sequence,
     strategy_plays,
+    validate_refutation,
     validate_strategy,
     winning_members,
     winning_set,
@@ -369,3 +371,128 @@ def test_languages_match_reference(name, request):
             if m[i] < subst.size
         }
         assert_matches_reference(X, subst.size, sorted(members) + sorted(raised))
+
+
+# Certificates on long games and malformed input: no recursion, no expansion
+# of exponentially many plays, and a plain False for a table that is wrong.
+
+
+def recursive_branch_profile(tree):
+    # the definition ``branch_profile`` must reproduce
+    if tree.is_leaf:
+        return ()
+    return (
+        len(tree.offer),
+        tuple(sorted(recursive_branch_profile(child) for child in tree.children.values())),
+    )
+
+
+def same_nested(a, b):
+    # equality of nested tuples without recursing once per level
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, tuple) != isinstance(y, tuple):
+            return False
+        if not isinstance(x, tuple):
+            if x != y:
+                return False
+        elif x is not y:
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets)
+def test_branch_profile_matches_recursive_definition(case):
+    size, X = case
+    for alpha in winning_members(X):
+        tree = member(X, alpha, alphabet_size=size).strategy
+        assert branch_profile(tree) == recursive_branch_profile(tree)
+
+
+def test_branch_profile_of_long_strategy():
+    def chain(rounds, bottom=()):
+        for _ in range(rounds):
+            bottom = (1, (bottom,))
+        return bottom
+
+    X = frozenset({(0,) * 1200, (1,) * 1200})
+    tree = member(X, (2,) + (1,) * 1199).strategy
+    assert same_nested(branch_profile(tree), (2, (chain(1199), chain(1199))))
+    # a branch that differs only 1000 rounds down sorts after the plain one
+    node = tree.children[0]
+    for _ in range(1000):
+        node = node.children[0]
+    node.offer = (0, 1)
+    node.children[1] = StrategyTree(())
+    altered = chain(1000, (2, ((), chain(198))))
+    assert same_nested(branch_profile(tree), (2, (chain(1199), altered)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(targets, st.randoms(use_true_random=False))
+def test_validate_refutation_agrees_with_plays(case, rng):
+    size, X = case
+    n = len(next(iter(X)))
+    cube = list(product(range(size), repeat=n))
+    Y = frozenset(w for w in cube if rng.random() < 0.3)
+    for alpha in product(range(1, size + 1), repeat=n):
+        outcome = member(X, alpha, alphabet_size=size)
+        if outcome.win:
+            continue
+        plays = refutation_plays(outcome.refutation)
+        assert validate_refutation(outcome.refutation, X, alpha, size)
+        for other in (Y, frozenset(cube)):
+            assert validate_refutation(outcome.refutation, other, alpha, size) == (
+                not (plays & other)
+            )
+
+
+def test_validate_refutation_rejects_bad_tables():
+    leaf = Refutation()
+    # Bob picks 1 when only 0 is offered
+    assert not validate_refutation(
+        Refutation({(0,): (1, leaf), (1,): (1, leaf)}), {(0,)}, (1,), 2
+    )
+    # a table that lets Alice reach (0, 0)
+    obliging = Refutation({(0,): (0, leaf), (1,): (1, leaf)})
+    obliging = Refutation({(0,): (0, obliging), (1,): (1, obliging)})
+    assert not validate_refutation(obliging, {(0, 0)}, (1, 1), 2)
+    # the offer (0, 1) has no answer
+    assert not validate_refutation(obliging, {(0, 0)}, (2, 1), 2)
+    # one shared node, safe after letter 1 and not after letter 0
+    shared = Refutation({(0, 1): (0, leaf)})
+    root = Refutation({(0,): (0, shared), (1,): (1, shared)})
+    assert not validate_refutation(root, {(0, 0), (1, 1)}, (1, 2), 2)
+    X = frozenset({(0,) * 1200, (1,) * 1200})
+    alpha = (1,) * 1199 + (2,)
+    assert validate_refutation(member(X, alpha).refutation, X, alpha)
+
+
+def test_validate_strategy_rejects_malformed_trees():
+    ragged = StrategyTree(
+        (0, 1), {0: StrategyTree(()), 1: StrategyTree((0,), {0: StrategyTree(())})}
+    )
+    assert validate_strategy(ragged, {(0, 0), (1, 0)}) is False
+    uneven = StrategyTree(
+        (0, 1),
+        {
+            0: StrategyTree((0,), {0: StrategyTree(())}),
+            1: StrategyTree((0, 1), {0: StrategyTree(()), 1: StrategyTree(())}),
+        },
+    )
+    assert validate_strategy(uneven, {(0, 0), (1, 0), (1, 1)}) is False
+
+
+def test_long_language_target(tm):
+    X = language(tm, 200).words
+    won = member(X, (2,) + (1,) * 199)
+    assert won.win and validate_strategy(won.strategy, X)
+    alpha = (2, 2) + (1,) * 197 + (2,)
+    lost = member(X, alpha)
+    assert not lost.win and validate_refutation(lost.refutation, X, alpha)
+    assert winning_set_cardinality(X) == len(X)
+
