@@ -115,6 +115,13 @@ OTHERS = (
     "winshift --subst tm --table 3 --length 5",
     "gtm --b 2 --m 3 word --length -2",
     "winset --subst gtm:2,11 --length 1 --choice-seq 10",
+    # head games on permutive input, and the length-1 rule in every format
+    "verify --subst {perm4} --depth 6",
+    "winshift --subst {perm4} --length 40 --method substitutive",
+    "winshift --subst {perm4} --length 12 --method brute",
+    "winshift --subst gtm:2,3 --length 1 --format json",
+    "winshift --subst gtm:2,3 --length 1 --format csv",
+    "winshift --subst ex42 --length 1 --format csv",
 )
 
 
