@@ -11,12 +11,19 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import complexity as cx
 from . import gtm as gtm_mod
 from . import shift
 from .catalog import gtm_parameters, resolve_substitution, substitution_to_dict
-from .errors import CapExceededError, PeriodicInputError, PreconditionError, WinshiftError
+from .errors import (
+    CapExceededError,
+    InternalConsistencyError,
+    PeriodicInputError,
+    PreconditionError,
+    WinshiftError,
+)
 from .game import StrategyTree, member, winning_set, winning_set_cardinality
 from .recognizability import sync_delay
 from .substitution import (
@@ -273,8 +280,12 @@ def cmd_gtm(args) -> int:
     shown, closed, generic = _gtm_form(kind, b, m, n)
     verdict = None
     if args.verify:
-        same = generic(gtm_mod.gtm_substitution(b, m)) == closed
-        verdict = "ok" if same else f"VERIFY FAIL: closed-form {kind} differs from the pipeline"
+        try:
+            same = generic(gtm_mod.gtm_substitution(b, m)) == closed
+        except InternalConsistencyError as exc:
+            verdict = f"VERIFY FAIL: the {kind} pipeline failed: {exc}"
+        else:
+            verdict = "ok" if same else f"VERIFY FAIL: closed-form {kind} differs from the pipeline"
     if kind == "complexity":
         _print_complexity(shown, args.format, verdict)
     elif kind == "factors":
@@ -310,6 +321,15 @@ def run_verify(
     def skip(name: str, reason: str) -> None:
         checks.append(("skipped", name, reason))
 
+    @contextmanager
+    def check(name: str):
+        # yields the row's recorder; a check that fails by raising is a
+        # failed row, and the checks after it still run
+        try:
+            yield lambda passed, detail: record(name, passed, detail)
+        except InternalConsistencyError as exc:
+            record(name, False, str(exc))
+
     probe = periodicity_probe(subst)
     if probe.periodic:
         record("periodicity-probe", False, f"periodic: complexity stalls at {probe.detected_at}")
@@ -325,78 +345,84 @@ def run_verify(
         delay = None
         skip("known-delay", "not uniform")
 
-    ok = all(
-        winning_set_cardinality(language(subst, n).words) == len(language(subst, n))
-        for n in range(1, min(depth, 14) + 1)
-    )
-    record("cardinality", ok, f"|W| = |X| for n <= {min(depth, 14)}")
+    with check("cardinality") as done:
+        ok = all(
+            winning_set_cardinality(language(subst, n).words) == len(language(subst, n))
+            for n in range(1, min(depth, 14) + 1)
+        )
+        done(ok, f"|W| = |X| for n <= {min(depth, 14)}")
 
-    ok = True
-    for n in range(1, min(depth, 8) + 1):
-        members = winning_set(language(subst, n).words).expansion
-        for alpha in members:
-            for p, letter in enumerate(alpha):
-                if letter > 1:
-                    lowered = alpha[:p] + (letter - 1,) + alpha[p + 1:]
-                    if lowered not in members:
-                        ok = False
-    record("downward-closure", ok, f"n <= {min(depth, 8)}")
+    with check("downward-closure") as done:
+        ok = True
+        for n in range(1, min(depth, 8) + 1):
+            members = winning_set(language(subst, n).words).expansion
+            for alpha in members:
+                for p, letter in enumerate(alpha):
+                    if letter > 1:
+                        lowered = alpha[:p] + (letter - 1,) + alpha[p + 1:]
+                        if lowered not in members:
+                            ok = False
+        done(ok, f"n <= {min(depth, 8)}")
 
     if subst.uniform and subst.marked and delay is not None:
         M = subst.uniform_length
-        ok = all(
-            shift.enumerate_irreducible(subst, n, "brute")
-            == shift.enumerate_irreducible(subst, n, "substitutive")
-            for n in range(delay + 1, delay + 2 * M + 1)
-        )
-        record("substitutive-vs-brute", ok, f"lengths {delay + 1}..{delay + 2 * M}")
-        ok = all(
-            cx.delta_recurrence(subst, n) == cx.delta_direct(subst, n) for n in range(1, depth + 1)
-        )
-        record("delta-recurrence", ok, f"n <= {depth}")
+        with check("substitutive-vs-brute") as done:
+            ok = all(
+                shift.enumerate_irreducible(subst, n, "brute")
+                == shift.enumerate_irreducible(subst, n, "substitutive")
+                for n in range(delay + 1, delay + 2 * M + 1)
+            )
+            done(ok, f"lengths {delay + 1}..{delay + 2 * M}")
+        with check("delta-recurrence") as done:
+            ok = all(
+                cx.delta_recurrence(subst, n) == cx.delta_direct(subst, n)
+                for n in range(1, depth + 1)
+            )
+            done(ok, f"n <= {depth}")
     else:
         skip("substitutive-vs-brute", "not marked")
         skip("delta-recurrence", "not marked")
 
     if subst.uniform and subst.left_marked and delay is not None:
-        ok = True
-        for n in range(delay + 1, delay + subst.uniform_length + 1):
-            rows = sorted(shift.enumerate_irreducible(subst, n, "auto"))[:6]
-            for alpha in rows:
-                if not shift.verify_form(subst, alpha):
-                    ok = False
-                shift.choice_decomposition(subst, alpha, verify=True)
-        record("decomposition-form", ok, "sampled winning sequences past the delay")
+        with check("decomposition-form") as done:
+            ok = True
+            for n in range(delay + 1, delay + subst.uniform_length + 1):
+                rows = sorted(shift.enumerate_irreducible(subst, n, "auto"))[:6]
+                for alpha in rows:
+                    if not shift.verify_form(subst, alpha):
+                        ok = False
+                    shift.choice_decomposition(subst, alpha, verify=True)
+            done(ok, "sampled winning sequences past the delay")
     else:
         skip("decomposition-form", "not left-marked")
 
     if "deltas" in facts:
-        ok = all(cx.delta_direct(subst, n) == v for n, v in facts["deltas"].items())
-        record("known-deltas", ok, str(facts["deltas"]))
+        with check("known-deltas") as done:
+            ok = all(cx.delta_direct(subst, n) == v for n, v in facts["deltas"].items())
+            done(ok, str(facts["deltas"]))
     if "membership" in facts:
         n, alpha = facts["membership"]
-        outcome = member(language(subst, n).words, alpha, alphabet_size=subst.size)
-        record(
-            "known-membership",
-            outcome.win,
-            f"{format_choices(alpha, subst.size)} at length {n}",
-        )
+        with check("known-membership") as done:
+            outcome = member(language(subst, n).words, alpha, alphabet_size=subst.size)
+            done(outcome.win, f"{format_choices(alpha, subst.size)} at length {n}")
 
     if gtm:
-        forms = [_gtm_form("complexity", *gtm, min(depth, 12))]
-        forms += [_gtm_form("factors", *gtm, n) for n in (2, 3)]
-        forms += [_gtm_form("winshift", *gtm, n) for n in range(1, min(depth, 20) + 1)]
-        ok = all(closed == generic(subst) for _, closed, generic in forms)
-        record("gtm-closed-forms", ok, f"diffs up to depth {min(depth, 20)}")
+        with check("gtm-closed-forms") as done:
+            forms = [_gtm_form("complexity", *gtm, min(depth, 12))]
+            forms += [_gtm_form("factors", *gtm, n) for n in (2, 3)]
+            forms += [_gtm_form("winshift", *gtm, n) for n in range(1, min(depth, 20) + 1)]
+            ok = all(closed == generic(subst) for _, closed, generic in forms)
+            done(ok, f"diffs up to depth {min(depth, 20)}")
     else:
         skip("gtm-closed-forms", "not a gtm substitution")
 
     if facts.get("table"):
-        ok = all(
-            expand_row(n, subst.size) == shift.enumerate_irreducible(subst, n)
-            for n in range(1, min(depth, 24) + 1)
-        )
-        record("tm-reference-table", ok, f"rows 1..{min(depth, 24)}")
+        with check("tm-reference-table") as done:
+            ok = all(
+                expand_row(n, subst.size) == shift.enumerate_irreducible(subst, n)
+                for n in range(1, min(depth, 24) + 1)
+            )
+            done(ok, f"rows 1..{min(depth, 24)}")
     else:
         skip("tm-reference-table", "reference rows cover tm only")
     return checks

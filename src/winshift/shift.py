@@ -6,6 +6,11 @@ middle blocks played on whole images, and a final letter.  This module
 enumerates winning shifts level by level from brute-forced base levels,
 transports strategy trees forward (image substitution) and backward
 (desubstitution), and checks the structural form of long sequences.
+
+A length is held as its suffix groups (suffix u -> largest first letter),
+brute-forced or extended, and one expansion spells them out.  Every head
+game is solved once per substitution.  Transport follows the short plays
+consistent with the word built so far instead of rescanning the tree.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .errors import InternalConsistencyError, PreconditionError
 from .game import (
@@ -75,29 +81,14 @@ def _suffix_target(subst: Substitution, first_choices, head: int) -> frozenset[W
     return frozenset(subst.image(c)[len(subst.image(c)) - head:] for c in first_choices)
 
 
-def head_words_closed_form(k: int, head: int) -> frozenset[ChoiceSequence]:
-    """Winning head sequences over image suffixes of a permutive substitution.
-
-    Distinct letters stay distinct at every image position, so the head
-    game is won exactly by t 1^(head-1) for t up to the subset size.
-    """
-    pad = (1,) * (head - 1)
-    return frozenset((t,) + pad for t in range(1, k + 1))
-
-
 @lru_cache(maxsize=None)
 def _head_groups(
-    subst: Substitution, k: int, first_choices, head: int
+    subst: Substitution, first_choices, head: int
 ) -> dict[ChoiceSequence, tuple[int, tuple[int, ...]]]:
     # Group winning head sequences by everything after their first letter;
     # each group carries its own maximal first letter and first-choice set.
     # The game depends on the key alone, so each one is solved once (at most
-    # 2^s * s * M keys per substitution); callers must not mutate the result.
-    if subst.permutive:
-        next_choices = tuple(
-            sorted(subst.image(c)[subst.uniform_length - head] for c in first_choices)
-        )
-        return {(1,) * (head - 1): (k, next_choices)}
+    # 2^s * M keys per substitution); callers must not mutate the result.
     target = _suffix_target(subst, first_choices, head)
     groups: dict[ChoiceSequence, tuple[int, tuple[int, ...]]] = {}
     for word in winning_members(target):
@@ -120,16 +111,29 @@ def _level(subst: Substitution, n: int) -> LevelData:
     return LevelData(n, entries, "substitutive")
 
 
-def _brute_level(subst: Substitution, n: int) -> LevelData:
-    target = frozenset(language(subst, n).words)
-    seen: dict[ChoiceSequence, int] = {}
-    for alpha in winning_members(target):
-        if not is_irreducible(alpha):
-            continue
+def _brute_groups(subst: Substitution, n: int) -> dict[ChoiceSequence, int]:
+    """Suffix -> largest first letter over the irreducible winning sequences
+    of length ``n``, from one pass over the solved winning set."""
+    groups: dict[ChoiceSequence, int] = {}
+    for alpha in winning_members(language(subst, n).word_set):
         suffix = alpha[1:]
-        seen[suffix] = max(seen.get(suffix, 0), alpha[0])
+        if is_irreducible(alpha) and groups.get(suffix, 0) < alpha[0]:
+            groups[suffix] = alpha[0]
+    return groups
+
+
+def _expand(groups: dict[ChoiceSequence, int]) -> frozenset[ChoiceSequence]:
+    """Every sequence t.u with t <= k of the groups u -> k; at length 1 the
+    first letter is also the last, so 1 is reducible."""
+    return frozenset(
+        (t,) + suffix for suffix, k in groups.items() for t in range(1 if suffix else 2, k + 1)
+    )
+
+
+def _brute_level(subst: Substitution, n: int) -> LevelData:
+    target = language(subst, n).word_set
     entries: dict[ChoiceSequence, tuple[int, tuple[int, ...]]] = {}
-    for suffix, k in seen.items():
+    for suffix, k in _brute_groups(subst, n).items():
         count, first_choices = max_first_choice(target, suffix, alphabet_size=subst.size)
         if count != k:
             raise InternalConsistencyError("first-choice count disagrees with the winning set")
@@ -147,7 +151,7 @@ def _extend_entries(
         body = [1] * ((len(suffix) - 1) * M + 1)
         body[::M] = suffix
         tail = tuple(body)
-        for group_tail, entry in _head_groups(subst, k, first_choices, head).items():
+        for group_tail, entry in _head_groups(subst, first_choices, head).items():
             out[group_tail + tail] = entry
     return out
 
@@ -157,16 +161,7 @@ def extend_level(subst: Substitution, level: LevelData, head_length: int) -> fro
     M = subst.require("level extension", "uniform", "marked")
     if not 1 <= head_length <= M:
         raise PreconditionError(f"head length must lie in 1..{M}")
-    return _expand_entries(_extend_entries(subst, level, head_length))
-
-
-def _expand_entries(entries) -> frozenset[ChoiceSequence]:
-    return frozenset(
-        (t,) + suffix
-        for suffix, (k, _) in entries.items()
-        for t in range(1, k + 1)
-        if is_irreducible((t,) + suffix)
-    )
+    return _expand({u: k for u, (k, _) in _extend_entries(subst, level, head_length).items()})
 
 
 def level_data(subst: Substitution, n: int) -> LevelData:
@@ -186,9 +181,7 @@ def enumerate_irreducible(
     and falls back to brute force on the base window.  ``auto`` picks
     the extension whenever it applies.
     """
-    if _from_levels(subst, n, method):
-        return _expand_entries(_level(subst, n).entries)
-    return _enumerate_brute(subst, n)
+    return _expand(irreducible_groups(subst, n, method))
 
 
 def irreducible_groups(
@@ -203,11 +196,7 @@ def irreducible_groups(
     """
     if _from_levels(subst, n, method):
         return {suffix: k for suffix, (k, _) in _level(subst, n).entries.items()}
-    groups: dict[ChoiceSequence, int] = {}
-    for seq in _enumerate_brute(subst, n):
-        suffix = seq[1:]
-        groups[suffix] = max(groups.get(suffix, 0), seq[0])
-    return groups
+    return _brute_groups(subst, n)
 
 
 def _from_levels(subst: Substitution, n: int, method: str) -> bool:
@@ -223,11 +212,6 @@ def _from_levels(subst: Substitution, n: int, method: str) -> bool:
     elif not (subst.uniform and subst.marked):
         return False
     return n >= 2 and n > _delay(subst)
-
-
-def _enumerate_brute(subst: Substitution, n: int) -> frozenset[ChoiceSequence]:
-    target = frozenset(language(subst, n).words)
-    return frozenset(a for a in winning_members(target) if is_irreducible(a))
 
 
 def _long_irreducible(subst: Substitution, alpha, what: str) -> ChoiceSequence:
@@ -281,13 +265,6 @@ def verify_form(subst: Substitution, alpha) -> bool:
     return all(x == 1 for p, x in enumerate(body) if p % M)
 
 
-def _nodes_at_depth(tree: StrategyTree, depth: int) -> list[StrategyTree]:
-    level = [tree]
-    for _ in range(depth):
-        level = [child for node in level for child in node.children.values()]
-    return level
-
-
 def _paths_to_depth(tree: StrategyTree, depth: int) -> list[tuple[Word, StrategyTree]]:
     level: list[tuple[Word, StrategyTree]] = [((), tree)]
     for _ in range(depth):
@@ -313,81 +290,68 @@ def substitute_strategy(
     M = subst.require("strategy substitution", "uniform")
     if not 1 <= head_length <= M or not 1 <= tail_length <= M:
         raise PreconditionError(f"head and tail lengths must lie in 1..{M}")
-    base_seq = strategy_choice_sequence(tree)
-    n = len(base_seq)
+    n = len(strategy_choice_sequence(tree))
     if n < 2:
         raise PreconditionError("base strategy must have at least two rounds")
     if not strategy_plays(tree) <= language(subst, n).word_set:
         raise PreconditionError("base strategy is not winning for the factor language")
-    head_target = _suffix_target(subst, tree.offer, head_length)
-    block_choices: list[frozenset[ChoiceSequence]] = [winning_members(head_target)]
-    for depth in range(1, n - 1):
-        per_node = [
-            winning_members(frozenset(subst.image(c) for c in node.offer))
-            for node in _nodes_at_depth(tree, depth)
-        ]
-        block_choices.append(frozenset.intersection(*per_node))
-    per_node = [
-        winning_members(frozenset(subst.image(c)[:tail_length] for c in node.offer))
-        for node in _nodes_at_depth(tree, n - 1)
-    ]
-    block_choices.append(frozenset.intersection(*per_node))
-    results = []
-    for blocks in product(*(sorted(choice) for choice in block_choices)):
-        beta = sum(blocks, ())
-        results.append(
-            (beta, _substituted_tree(subst, tree, head_target, tail_length, blocks))
+
+    def target(offer, depth: int) -> frozenset[Word]:
+        low = M - head_length if depth == 0 else 0
+        high = tail_length if depth == n - 1 else M
+        return frozenset(subst.image(c)[low:high] for c in offer)
+
+    # a block sequence must win the block game of every node at its depth
+    block_choices: list[frozenset[ChoiceSequence]] = []
+    level = [tree]
+    for depth in range(n):
+        offers = {node.offer for node in level}
+        block_choices.append(
+            frozenset.intersection(*(winning_members(target(o, depth)) for o in offers))
         )
-    return sorted(results, key=lambda pair: pair[0])
+        level = [child for node in level for child in node.children.values()]
+    # blocks at one depth share a length, so the product comes out sorted by beta
+    return [
+        (sum(blocks, ()), _substituted_tree(subst, tree, target, blocks))
+        for blocks in product(*(sorted(choice) for choice in block_choices))
+    ]
 
 
-def _substituted_tree(
-    subst: Substitution,
-    short: StrategyTree,
-    head_target: frozenset[Word],
-    tail_length: int,
-    blocks,
-) -> StrategyTree:
-    # Phase 0 plays the head game; phase r >= 1 plays on the images of
-    # the offer at short depth r, cut to tail_length in the last phase.
-    # Between phases any short play whose image ends with the word built
-    # so far is a valid ancestor; the least one keeps output canonical.
-    phases = len(blocks)
+def _substituted_tree(subst: Substitution, short: StrategyTree, target, blocks) -> StrategyTree:
+    # Phase r plays the block game of a short node at depth r.  ``plays``
+    # holds the short plays of length r whose images end with the word built
+    # before phase r; at a block boundary they grow by the children whose
+    # image ends with the finished block, and the least one names the next
+    # node, which keeps output canonical.
+    M = subst.uniform_length
+    last = len(blocks) - 1
 
-    def phase_target(phase: int, played: Word) -> frozenset[Word]:
-        candidates = [
-            prefix
-            for prefix, _ in _paths_to_depth(short, phase)
-            if subst.apply(prefix)[len(subst.apply(prefix)) - len(played):] == played
-        ]
-        if not candidates:
-            raise InternalConsistencyError("no short play matches the built word")
-        node = short
-        for c in min(candidates):
-            node = node.children[c]
-        if phase < phases - 1:
-            return frozenset(subst.image(c) for c in node.offer)
-        return frozenset(subst.image(c)[:tail_length] for c in node.offer)
+    def block_strategy(phase: int, node: StrategyTree) -> StrategyTree:
+        outcome = member(target(node.offer, phase), blocks[phase], alphabet_size=subst.size)
+        if not outcome.win:
+            raise InternalConsistencyError("block sequence lost a block game")
+        return outcome.strategy
 
-    def walk(phase: int, played: Word, node: StrategyTree) -> StrategyTree:
+    def walk(phase: int, plays, block: Word, node: StrategyTree) -> StrategyTree:
         if node.is_leaf:
-            if phase == phases - 1:
+            if phase == last:
                 return StrategyTree(())
-            outcome = member(
-                phase_target(phase + 1, played), blocks[phase + 1], alphabet_size=subst.size
-            )
-            if not outcome.win:
-                raise InternalConsistencyError("block sequence lost a block game")
-            return walk(phase + 1, played, outcome.strategy)
+            plays = [
+                (play + (c,), child)
+                for play, short_node in plays
+                for c, child in short_node.children.items()
+                if subst.image(c)[M - len(block):] == block
+            ]
+            if not plays:
+                raise InternalConsistencyError("no short play matches the built word")
+            _, next_node = min(plays, key=itemgetter(0))
+            return walk(phase + 1, plays, (), block_strategy(phase + 1, next_node))
         return StrategyTree(
             node.offer,
-            {c: walk(phase, played + (c,), child) for c, child in node.children.items()},
+            {c: walk(phase, plays, block + (c,), child) for c, child in node.children.items()},
         )
 
-    first = member(head_target, blocks[0], alphabet_size=subst.size)
-    if not first.win:
-        raise InternalConsistencyError("head sequence lost the head game")
-    return walk(0, (), first.strategy)
+    return walk(0, [((), short)], (), block_strategy(0, short))
 
 
 def desubstitute_strategy(subst: Substitution, tree: StrategyTree) -> StrategyTree:

@@ -190,6 +190,62 @@ def test_gtm_verify_mismatch_is_exit_3(capsys, monkeypatch):
     assert out.startswith("L = 4\nVERIFY FAIL")
 
 
+def test_verify_check_that_raises_is_a_failed_row(capsys, monkeypatch):
+    import winshift.cli as cli
+    import winshift.game as game
+    from winshift.errors import InternalConsistencyError
+
+    solved = game._members
+
+    def one_short(target):
+        # the solver loses one winning sequence of length 3
+        members = solved(target)
+        return frozenset(sorted(members)[1:]) if len(next(iter(target))) == 3 else members
+
+    monkeypatch.setattr(game, "_members", one_short)
+    try:
+        code, out = run(capsys, "verify", "--subst", "tm", "--depth", "5")
+    finally:
+        # nothing built from the short sets may outlive the patch
+        cli.shift._level.cache_clear()
+        cli.shift._head_groups.cache_clear()
+    lines = out.splitlines()
+    assert code == 3
+    assert "FAIL    cardinality: winning set size 5 differs from target size 6" in lines
+    assert "PASS    tm-reference-table: rows 1..5" in lines  # the later checks still ran
+    assert lines[-1] == "overall: fail"
+
+    def broken(subst, alpha):
+        raise InternalConsistencyError("body length must be a block multiple")
+
+    monkeypatch.setattr(game, "_members", solved)
+    monkeypatch.setattr(cli.shift, "verify_form", broken)
+    code, out = run(capsys, "verify", "--subst", "ex42", "--depth", "5")
+    lines = out.splitlines()
+    assert code == 3
+    assert "FAIL    decomposition-form: body length must be a block multiple" in lines
+    assert "PASS    known-deltas: {6: 4, 14: 5}" in lines
+    assert lines[-1] == "overall: fail"
+
+
+def test_gtm_verify_pipeline_that_raises_is_exit_3(capsys, monkeypatch):
+    import winshift.cli as cli
+    from winshift.errors import InternalConsistencyError
+
+    def broken(subst, n, method="auto"):
+        raise InternalConsistencyError("first-choice count disagrees with the winning set")
+
+    monkeypatch.setattr(cli.shift, "enumerate_irreducible", broken)
+    code, out = run(capsys, "gtm", "--b", "2", "--m", "3", "winshift", "--length", "9", "--verify")
+    assert code == 3
+    # the closed-form rows print, then the verdict names the failure
+    assert out.splitlines()[-1] == (
+        "VERIFY FAIL: the winshift pipeline failed: "
+        "first-choice count disagrees with the winning set"
+    )
+    assert out.startswith("◇11111112\n")
+
+
 def test_sync_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("WINSHIFT_SYNC_CAP", "2")
     code, _ = run(capsys, "syncdelay", "--subst", "tm")

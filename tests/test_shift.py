@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from winshift import (
@@ -11,6 +13,7 @@ from winshift import (
     extension_plan,
     language,
     level_data,
+    make_substitution,
     member,
     parse_choices,
     strategy_choice_sequence,
@@ -21,7 +24,12 @@ from winshift import (
     verify_form,
 )
 from winshift.catalog import builtin_substitution
+from winshift.errors import InternalConsistencyError
+from winshift.game import StrategyTree, winning_members
+from winshift.shift import _head_groups, _paths_to_depth, _suffix_target
 from winshift.tm_reference import THUE_MORSE_ROWS, compress, expand_pattern, expand_row
+
+PERM4 = make_substitution([(0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0)])
 
 
 def rows(texts, m=2):
@@ -119,11 +127,19 @@ def test_substitutive_requires_marked(ex42, ex46):
         )
 
 
-def test_head_words_closed_form_matches_solver(gtm33, gtm42, marked_nonpermutive):
-    from winshift.game import winning_members
-    from winshift.shift import _suffix_target, head_words_closed_form
+def head_words_closed_form(k, head):
+    """Winning head sequences over image suffixes of a permutive substitution.
 
-    for subst in (gtm33, gtm42):
+    Distinct letters stay distinct at every image position, so the head
+    game is won exactly by t 1^(head-1) for t up to the subset size.
+    """
+    pad = (1,) * (head - 1)
+    return frozenset((t,) + pad for t in range(1, k + 1))
+
+
+def test_head_words_closed_form_matches_solver(tm, gtm33, gtm42, marked_nonpermutive):
+    for subst in (tm, gtm33, gtm42, PERM4):
+        assert subst.permutive
         letters = tuple(subst.letters)
         M = subst.uniform_length
         for size in range(1, subst.size + 1):
@@ -131,6 +147,11 @@ def test_head_words_closed_form_matches_solver(gtm33, gtm42, marked_nonpermutive
             for head in range(1, M + 1):
                 target = _suffix_target(subst, chosen, head)
                 assert winning_members(target) == head_words_closed_form(size, head)
+                # one group t 1^(head-1), with the letters at image position M - head next
+                next_choices = tuple(sorted(subst.image(c)[M - head] for c in chosen))
+                assert _head_groups(subst, chosen, head) == {
+                    (1,) * (head - 1): (size, next_choices)
+                }
     # the closed form is specific to permutive substitutions
     target = _suffix_target(marked_nonpermutive, (0, 1, 2), 2)
     assert winning_members(target) != head_words_closed_form(3, 2)
@@ -255,3 +276,93 @@ def test_tm_closure_rule(tm):
             second = stretch((head,) + middle, 2) + (2,)
             assert first in enumerate_irreducible(tm, len(first))
             assert second in enumerate_irreducible(tm, len(second))
+
+
+def _nodes_at_depth(tree, depth):
+    level = [tree]
+    for _ in range(depth):
+        level = [child for node in level for child in node.children.values()]
+    return level
+
+
+def reference_substitute_strategy(subst, tree, head_length, tail_length):
+    """``substitute_strategy`` with three hand-built block targets and a scan
+    of every short play to the current depth at each block boundary."""
+    n = len(strategy_choice_sequence(tree))
+    head_target = _suffix_target(subst, tree.offer, head_length)
+    block_choices = [winning_members(head_target)]
+    for depth in range(1, n - 1):
+        per_node = [
+            winning_members(frozenset(subst.image(c) for c in node.offer))
+            for node in _nodes_at_depth(tree, depth)
+        ]
+        block_choices.append(frozenset.intersection(*per_node))
+    per_node = [
+        winning_members(frozenset(subst.image(c)[:tail_length] for c in node.offer))
+        for node in _nodes_at_depth(tree, n - 1)
+    ]
+    block_choices.append(frozenset.intersection(*per_node))
+    results = []
+    for blocks in product(*(sorted(choice) for choice in block_choices)):
+        beta = sum(blocks, ())
+        results.append(
+            (beta, reference_substituted_tree(subst, tree, head_target, tail_length, blocks))
+        )
+    return sorted(results, key=lambda pair: pair[0])
+
+
+def reference_substituted_tree(subst, short, head_target, tail_length, blocks):
+    phases = len(blocks)
+
+    def phase_target(phase, played):
+        candidates = [
+            prefix
+            for prefix, _ in _paths_to_depth(short, phase)
+            if subst.apply(prefix)[len(subst.apply(prefix)) - len(played):] == played
+        ]
+        if not candidates:
+            raise InternalConsistencyError("no short play matches the built word")
+        node = short
+        for c in min(candidates):
+            node = node.children[c]
+        if phase < phases - 1:
+            return frozenset(subst.image(c) for c in node.offer)
+        return frozenset(subst.image(c)[:tail_length] for c in node.offer)
+
+    def walk(phase, played, node):
+        if node.is_leaf:
+            if phase == phases - 1:
+                return StrategyTree(())
+            outcome = member(
+                phase_target(phase + 1, played), blocks[phase + 1], alphabet_size=subst.size
+            )
+            assert outcome.win
+            return walk(phase + 1, played, outcome.strategy)
+        return StrategyTree(
+            node.offer,
+            {c: walk(phase, played + (c,), child) for c, child in node.children.items()},
+        )
+
+    first = member(head_target, blocks[0], alphabet_size=subst.size)
+    assert first.win
+    return walk(0, (), first.strategy)
+
+
+def test_transport_matches_the_rescanning_reference(tm, ex42, gtm23, gtm33):
+    # ex42's images end in 1, 0 and 1, so two short plays can match one head
+    # word and the least one decides which offer the next block game sees
+    pairs = 0
+    for subst in (tm, ex42, gtm23, gtm33):
+        M = subst.uniform_length
+        for n in range(2, 6):
+            X = language(subst, n).words
+            for alpha in sorted(enumerate_irreducible(subst, n))[:6]:
+                base = member(X, alpha, alphabet_size=subst.size).strategy
+                for head in range(1, M + 1):
+                    for tail in range(1, M + 1):
+                        produced = substitute_strategy(subst, base, head, tail)
+                        assert produced == reference_substitute_strategy(
+                            subst, base, head, tail
+                        ), (subst.images, alpha, head, tail)
+                        pairs += len(produced)
+    assert pairs > 2000
