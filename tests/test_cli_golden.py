@@ -122,6 +122,14 @@ OTHERS = (
     "winshift --subst gtm:2,3 --length 1 --format json",
     "winshift --subst gtm:2,3 --length 1 --format csv",
     "winshift --subst ex42 --length 1 --format csv",
+    # long recurrences: rows and lengths far past the base table
+    *(
+        f"complexity --subst {s} --upto 300 --method recurrence"
+        for s in ("tm", "gtm:2,3", "gtm:3,3", "{marked}", "{perm4}")
+    ),
+    "complexity --subst {marked} --upto 300 --format json",
+    *(f"delta --subst {s} --n 1000000000000" for s in ("tm", "gtm:3,3", "{marked}", "{perm4}")),
+    "delta --subst tm --n 1000000007 --method recurrence",
 )
 
 
