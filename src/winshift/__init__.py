@@ -9,9 +9,7 @@ from .catalog import (
 )
 from .complexity import (
     ComplexityTable,
-    DeltaDecomposition,
     complexity_table,
-    delta_decompose,
     delta_direct,
     delta_recurrence,
     recurrence_constant,
@@ -35,7 +33,6 @@ from .game import (
     branch_rounds,
     max_first_choice,
     member,
-    refutation_plays,
     residual,
     strategy_choice_sequence,
     strategy_plays,

@@ -211,9 +211,7 @@ def cmd_winshift(args) -> int:
 
 def cmd_delta(args) -> int:
     subst, _ = resolve_substitution(args.subst)
-    method = args.method
-    if method == "auto":
-        method = "recurrence" if subst.uniform and subst.marked else "direct"
+    method = cx.resolve_method(subst, args.method)
     delta = cx.delta_recurrence if method == "recurrence" else cx.delta_direct
     _emit(str(delta(subst, args.n)))
     return 0

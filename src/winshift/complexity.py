@@ -2,17 +2,27 @@
 
 The first difference counts new factors per length and doubles as the
 number of irreducible winning choice sequences of that length.  For a
-marked uniform substitution the values repeat along a length
-decomposition, so a short directly computed base table determines the
-whole sequence.
+marked uniform substitution with block length M and recurrence constant
+K, a length n >= M*K + 2 has the same first difference as its extension
+base n' = (n - 2) // M + 2 (``shift.extension_plan``), so the directly
+computed base table up to M*K + 1 determines the whole sequence.
+
+Proof.  The marked recurrence gives delta(n) = delta(b + 2) for
+n = M^d * b + o + 1 with d maximal such that M^d * K + 2 <= n, b in
+K..K*M - 1 and o in 1..M^d.  Then (n' - 2) // M^(d-1) = (n - 2) // M^d = b,
+and M^(d-1) * K <= n' - 2 < M^d * K, so n' = b + 2 when d = 1 and n' has
+coordinates (d - 1, b) otherwise.  Either way delta(n') = delta(n), and d
+steps reach the base table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import PreconditionError
 from .recognizability import sync_delay
+from .shift import extension_plan
 from .substitution import Substitution, language
 
 
@@ -21,6 +31,15 @@ def recurrence_constant(subst: Substitution) -> int:
     delay = sync_delay(subst).delay
     M = subst.uniform_length
     return (delay + M - 2) // M
+
+
+def resolve_method(subst: Substitution, method: str) -> str:
+    """``auto`` is the recurrence on marked uniform input and direct otherwise."""
+    if method == "auto":
+        return "recurrence" if subst.uniform and subst.marked else "direct"
+    if method not in ("direct", "recurrence"):
+        raise PreconditionError(f"unknown method {method!r}")
+    return method
 
 
 def delta_direct(subst: Substitution, n: int) -> int:
@@ -32,47 +51,15 @@ def delta_direct(subst: Substitution, n: int) -> int:
     return len(language(subst, n)) - len(language(subst, n - 1))
 
 
-@dataclass(frozen=True)
-class DeltaDecomposition:
-    """Canonical coordinates n = M^depth * base + offset + 1.
-
-    ``depth`` is maximal with M^depth * K + 2 <= n, which forces
-    base in K..K*M-1 and offset in 1..M^depth.
-    """
-
-    n: int
-    depth: int
-    base: int
-    offset: int
-
-
-def delta_decompose(n: int, block_length: int, constant: int) -> DeltaDecomposition:
-    if n < constant + 2:
-        raise PreconditionError(f"decomposition starts at {constant + 2}")
-    depth = 0
-    while block_length ** (depth + 1) * constant + 2 <= n:
-        depth += 1
-    scale = block_length ** depth
-    base = (n - 2) // scale
-    offset = n - 1 - scale * base
-    if not (constant <= base <= constant * block_length - 1 and 1 <= offset <= scale):
-        raise InternalConsistencyError("decomposition coordinates out of range")
-    return DeltaDecomposition(n, depth, base, offset)
-
-
 def delta_recurrence(subst: Substitution, n: int) -> int:
     """First difference via the marked recurrence; base table up to M*K + 1."""
-    subst.require("the first-difference recurrence", "uniform", "marked")
+    M = subst.require("the first-difference recurrence", "uniform", "marked")
     if n < 0:
         raise PreconditionError("length must be nonnegative")
-    M = subst.uniform_length
-    constant = recurrence_constant(subst)
-    if n <= M * constant + 1:
-        return delta_direct(subst, n)
-    dec = delta_decompose(n, M, constant)
-    if dec.base + 2 > M * constant + 1:
-        raise InternalConsistencyError("recurrence target escaped the base table")
-    return delta_direct(subst, dec.base + 2)
+    top = M * recurrence_constant(subst) + 1
+    while n > top:
+        n = extension_plan(n, M).base_length
+    return delta_direct(subst, n)
 
 
 @dataclass(frozen=True)
@@ -89,29 +76,12 @@ def complexity_table(subst: Substitution, upto: int, method: str = "auto") -> Co
     """Tabulate the first difference and its prefix sums up to a length."""
     if upto < 0:
         raise PreconditionError("table bound must be nonnegative")
-    if method == "auto":
-        method = "recurrence" if subst.uniform and subst.marked else "direct"
-    if method not in ("direct", "recurrence"):
-        raise PreconditionError(f"unknown method {method!r}")
-    if method == "recurrence":
-        subst.require("the first-difference recurrence", "uniform", "marked")
-    base_top = (
-        subst.uniform_length * recurrence_constant(subst) + 1
-        if method == "recurrence"
-        else None
-    )
-    deltas = [1]
-    methods = ["direct"]
-    for n in range(1, upto + 1):
-        if method == "direct" or n <= base_top:
-            deltas.append(delta_direct(subst, n))
-            methods.append("direct")
-        else:
-            deltas.append(delta_recurrence(subst, n))
-            methods.append("recurrence")
-    values = []
-    total = 0
-    for d in deltas:
-        total += d
-        values.append(total)
-    return ComplexityTable(upto, tuple(deltas), tuple(values), tuple(methods))
+    top = upto
+    if resolve_method(subst, method) == "recurrence":
+        M = subst.require("the first-difference recurrence", "uniform", "marked")
+        top = min(upto, M * recurrence_constant(subst) + 1)
+    deltas = [delta_direct(subst, n) for n in range(top + 1)]
+    for n in range(top + 1, upto + 1):
+        deltas.append(deltas[extension_plan(n, M).base_length])
+    methods = ("direct",) * (top + 1) + ("recurrence",) * (upto - top)
+    return ComplexityTable(upto, tuple(deltas), tuple(accumulate(deltas)), methods)

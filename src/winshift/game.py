@@ -470,31 +470,12 @@ def validate_strategy(tree: StrategyTree, X) -> bool:
     return strategy_plays(tree) <= target
 
 
-def refutation_plays(ref: Refutation) -> frozenset[Word]:
-    """All words reachable when Bob follows the refutation.
-
-    A refutation shares its nodes, so the plays can double with every round
-    and this set can be exponential in the game length; to check a
-    refutation use ``validate_refutation``, which never expands them.
-    """
-    out: set[Word] = set()
-    stack: list[tuple[Word, Refutation]] = [((), ref)]
-    while stack:
-        prefix, node = stack.pop()
-        if node.is_leaf:
-            out.add(prefix)
-            continue
-        for _, (c, child) in node.responses.items():
-            stack.append((prefix + (c,), child))
-    return frozenset(out)
-
-
 def validate_refutation(ref: Refutation, X, alpha, alphabet_size: int | None = None) -> bool:
     """Replay Bob's table against every offer; True iff no play ends in the target.
 
     Each (node, quotient) pair is replayed once, the quotients being
     frozensets of suffixes of ``X``, so shared continuations cost nothing
-    extra and the check stays polynomial where ``refutation_plays`` is not.
+    extra and the check stays polynomial where expanding every play is not.
     It uses none of the solver's state, so it checks the solver
     independently.  A pick outside its offer, or an offer the table does not
     answer while the play can still reach the target, fails the check.

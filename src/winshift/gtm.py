@@ -106,17 +106,9 @@ def gtm_factors(b: int, m: int, n: int) -> frozenset[Word]:
     raise PreconditionError("closed-form factors cover lengths 2 and 3 only")
 
 
-def gtm_sync_delay(b: int, m: int, verify: bool = False) -> int:
-    """Synchronization delay 2b; with ``verify`` the generic search must agree."""
+def gtm_sync_delay(b: int, m: int) -> int:
+    """Synchronization delay 2b."""
     gtm_params(b, m)
-    if verify:
-        from .recognizability import sync_delay
-
-        computed = sync_delay(gtm_substitution(b, m)).delay
-        if computed != 2 * b:
-            raise InternalConsistencyError(
-                f"computed delay {computed} differs from the closed form {2 * b}"
-            )
     return 2 * b
 
 

@@ -332,10 +332,11 @@ def _substituted_tree(subst: Substitution, short: StrategyTree, target, blocks) 
             raise InternalConsistencyError("block sequence lost a block game")
         return outcome.strategy
 
-    def walk(phase: int, plays, block: Word, node: StrategyTree) -> StrategyTree:
-        if node.is_leaf:
+    def settle(phase: int, plays, block: Word, node: StrategyTree):
+        # cross finished blocks up to the next branching node, or None at the end
+        while node.is_leaf:
             if phase == last:
-                return StrategyTree(())
+                return None
             plays = [
                 (play + (c,), child)
                 for play, short_node in plays
@@ -345,13 +346,30 @@ def _substituted_tree(subst: Substitution, short: StrategyTree, target, blocks) 
             if not plays:
                 raise InternalConsistencyError("no short play matches the built word")
             _, next_node = min(plays, key=itemgetter(0))
-            return walk(phase + 1, plays, (), block_strategy(phase + 1, next_node))
-        return StrategyTree(
-            node.offer,
-            {c: walk(phase, plays, block + (c,), child) for c, child in node.children.items()},
-        )
+            phase, block, node = phase + 1, (), block_strategy(phase + 1, next_node)
+        return phase, plays, block, node
 
-    return walk(0, [((), short)], (), block_strategy(0, short))
+    # post-order on an explicit stack: one long round per letter is too deep
+    # to recurse; a node is built once its children are
+    built: list[StrategyTree] = []
+    stack = [(settle(0, [((), short)], (), block_strategy(0, short)), False)]
+    while stack:
+        frame, ready = stack.pop()
+        if frame is None:
+            built.append(StrategyTree(()))
+            continue
+        phase, plays, block, node = frame
+        if ready:
+            children = built[len(built) - len(node.children):]
+            del built[len(built) - len(node.children):]
+            built.append(StrategyTree(node.offer, dict(zip(node.children, children))))
+            continue
+        stack.append((frame, True))
+        stack.extend(
+            (settle(phase, plays, block + (c,), child), False)
+            for c, child in reversed(node.children.items())
+        )
+    return built[0]
 
 
 def desubstitute_strategy(subst: Substitution, tree: StrategyTree) -> StrategyTree:

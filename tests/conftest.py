@@ -1,6 +1,26 @@
+import random
+
 import pytest
 
-from winshift import builtin_substitution, gtm_substitution, make_substitution
+from winshift import builtin_substitution, gtm_substitution, make_substitution, periodicity_probe
+
+
+def random_marked(count, seed):
+    """Seeded primitive aperiodic marked uniform substitutions, s <= 3, M <= 3."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        s, M = rng.choice((2, 3)), rng.choice((2, 3))
+        firsts, lasts = rng.sample(range(s), s), rng.sample(range(s), s)
+        images = [
+            (firsts[a],) + tuple(rng.randrange(s) for _ in range(M - 2)) + (lasts[a],)
+            for a in range(s)
+        ]
+        subst = make_substitution(images)
+        # periodic inputs have no synchronization delay: out of the domain
+        if subst.primitive and not periodicity_probe(subst).periodic:
+            found.append(subst)
+    return found
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +58,13 @@ def marked_nonpermutive():
     # first letters 0,1,2 and last letters 1,2,0 are distinct, but the middle
     # column 0,0,1 is not a permutation; synchronization delay is 6
     return make_substitution([(0, 0, 1), (1, 0, 2), (2, 1, 0)])
+
+
+@pytest.fixture(scope="session")
+def gtm34():
+    return gtm_substitution(3, 4)
+
+
+@pytest.fixture(scope="session")
+def perm4():
+    return make_substitution([(0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0)])

@@ -18,7 +18,6 @@ from winshift import (
     member,
     parse_choices,
     parse_word,
-    refutation_plays,
     residual,
     strategy_choice_sequence,
     strategy_plays,
@@ -28,7 +27,26 @@ from winshift import (
     winning_set,
     winning_set_cardinality,
 )
-from winshift.words import le
+from winshift.words import Word, le
+
+
+def refutation_plays(ref: Refutation) -> frozenset[Word]:
+    """All words reachable when Bob follows the refutation.
+
+    A refutation shares its nodes, so the plays can double with every round
+    and this set can be exponential in the game length; to check a
+    refutation use ``validate_refutation``, which never expands them.
+    """
+    out: set[Word] = set()
+    stack: list[tuple[Word, Refutation]] = [((), ref)]
+    while stack:
+        prefix, node = stack.pop()
+        if node.is_leaf:
+            out.add(prefix)
+            continue
+        for _, (c, child) in node.responses.items():
+            stack.append((prefix + (c,), child))
+    return frozenset(out)
 
 
 def words_of(text_words, size):

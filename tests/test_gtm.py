@@ -94,7 +94,7 @@ def test_factor_examples():
 
 @pytest.mark.parametrize("b,m", SUITE)
 def test_sync_delay_closed_form(b, m):
-    assert gtm_sync_delay(b, m, verify=True) == 2 * b
+    assert gtm_sync_delay(b, m) == 2 * b
     assert sync_delay(gtm_substitution(b, m)).delay == 2 * b
 
 

@@ -366,3 +366,23 @@ def test_transport_matches_the_rescanning_reference(tm, ex42, gtm23, gtm33):
                         ), (subst.images, alpha, head, tail)
                         pairs += len(produced)
     assert pairs > 2000
+
+
+def test_transport_of_a_long_strategy_does_not_recurse_per_letter(tm):
+    # 200 short rounds become 399 long ones, one tree level per letter
+    alpha = (2,) + (1,) * 198 + (2,)
+    base = member(language(tm, 200).words, alpha).strategy
+    produced = substitute_strategy(tm, base, 2, 1)
+    assert len(produced) == 4
+    X = language(tm, 399).words
+    irreducible = 0
+    for beta, tree in produced:
+        assert len(beta) == 399
+        assert validate_strategy(tree, X)
+        assert strategy_choice_sequence(tree) == beta
+        if beta[-1] != 1:
+            irreducible += 1
+            back = desubstitute_strategy(tm, tree)
+            assert strategy_choice_sequence(back) == (beta[0],) + beta[2::2]
+            assert validate_strategy(back, language(tm, 200).words)
+    assert irreducible == 2

@@ -7,9 +7,8 @@ it.  These tests hold the grouped path to the sequence path it replaced:
 sequences, and brute force is the independent check of the levels.
 """
 
-import random
-
 import pytest
+from conftest import random_marked
 
 from winshift import (
     builtin_substitution,
@@ -17,7 +16,6 @@ from winshift import (
     format_choices,
     is_irreducible,
     make_substitution,
-    periodicity_probe,
 )
 from winshift import cli
 from winshift.shift import irreducible_groups
@@ -46,24 +44,6 @@ def reference_compress(sequences, m):
     return tuple(rows)
 
 
-def random_marked(count, seed):
-    """Seeded primitive aperiodic marked uniform substitutions, s <= 3, M <= 3."""
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        s, M = rng.choice((2, 3)), rng.choice((2, 3))
-        firsts, lasts = rng.sample(range(s), s), rng.sample(range(s), s)
-        images = [
-            (firsts[a],) + tuple(rng.randrange(s) for _ in range(M - 2)) + (lasts[a],)
-            for a in range(s)
-        ]
-        subst = make_substitution(images)
-        # periodic inputs have no synchronization delay: out of the domain
-        if subst.primitive and not periodicity_probe(subst).periodic:
-            found.append(pytest.param(subst, id=f"random-{images}"))
-    return found
-
-
 SUBSTS = [
     pytest.param(builtin_substitution(name), id=name)
     for name in ("tm", "ex42", "ex46", "gtm:2,3", "gtm:3,3", "gtm:2,11")
@@ -73,7 +53,10 @@ SUBSTS = [
         make_substitution([(0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0)]),
         id="perm4",
     ),
-] + random_marked(6, seed=20171)
+] + [
+    pytest.param(subst, id=f"random-{list(subst.images)}")
+    for subst in random_marked(6, seed=20171)
+]
 
 
 def expand(groups):
