@@ -4,7 +4,9 @@
 stderr kind).  Stderr is compared only by its ``error:``/``usage:`` prefix, so
 domain errors may be reworded without touching the corpus.  ``{marked}`` is a
 marked three-letter substitution and ``{perm4}`` a permutive four-letter one,
-both written as JSON; ``{dot}`` and ``{emit}`` are scratch output paths.
+both written as JSON; ``{cycle3}`` is a marked periodic substitution that
+never synchronizes and ``{fib}`` the non-uniform Fibonacci substitution.
+``{dot}`` and ``{emit}`` are scratch output paths.
 
 Re-record after a deliberate output change with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -26,6 +28,8 @@ PERM4 = {
     "images": [[0, 1, 2, 3], [1, 3, 0, 2], [2, 0, 3, 1], [3, 2, 1, 0]],
     "name": "perm4",
 }
+CYCLE3 = {"alphabet": 3, "images": [[0, 1], [2, 0], [1, 2]], "name": "cycle3"}
+FIB = {"alphabet": 2, "images": [[0, 1], [0]], "name": "fib"}
 
 SUBSTS = ("tm", "ex42", "ex46", "gtm:2,3", "gtm:3,3", "{marked}")
 PER_SUBST = (
@@ -130,6 +134,23 @@ OTHERS = (
     "complexity --subst {marked} --upto 300 --format json",
     *(f"delta --subst {s} --n 1000000000000" for s in ("tm", "gtm:3,3", "{marked}", "{perm4}")),
     "delta --subst tm --n 1000000007 --method recurrence",
+    # periodic input on every path that needs the synchronization delay
+    "syncdelay --subst gtm:3,2 --cap 20",
+    "syncdelay --subst gtm:3,2 --cap 1",
+    "syncdelay --subst gtm:4,3",
+    "syncdelay --subst gtm:3,2 --format json",
+    "winshift --subst gtm:3,2 --length 9 --method substitutive",
+    "delta --subst gtm:3,2 --n 5 --method recurrence",
+    "syncdelay --subst {cycle3}",
+    "winshift --subst {cycle3} --length 6",
+    "delta --subst {cycle3} --n 9",
+    "complexity --subst {cycle3} --upto 6",
+    "verify --subst {cycle3} --depth 5",
+    # non-uniform input: the rows verify skips
+    "verify --subst {fib} --depth 6",
+    "syncdelay --subst {fib}",
+    "winshift --subst {fib} --length 6",
+    "complexity --subst {fib} --upto 6",
 )
 
 
@@ -146,7 +167,7 @@ def corpus() -> list[str]:
 
 def replay(command: str, tmp: Path) -> list:
     paths = {"dot": str(tmp / "tree.dot"), "emit": str(tmp / "emit.json")}
-    for key, subst in (("marked", MARKED), ("perm4", PERM4)):
+    for key, subst in (("marked", MARKED), ("perm4", PERM4), ("cycle3", CYCLE3), ("fib", FIB)):
         path = tmp / f"{subst['name']}.json"
         path.write_text(json.dumps(subst))
         paths[key] = str(path)
