@@ -60,7 +60,6 @@ from .recognizability import (
     SyncAnalysis,
     SyncDelay,
     decomposition,
-    default_sync_cap,
     interpretations,
     sync_analysis,
     sync_delay,

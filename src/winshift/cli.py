@@ -17,14 +17,8 @@ from . import complexity as cx
 from . import gtm as gtm_mod
 from . import shift
 from .catalog import gtm_parameters, resolve_substitution, substitution_to_dict
-from .errors import (
-    CapExceededError,
-    InternalConsistencyError,
-    PeriodicInputError,
-    PreconditionError,
-    WinshiftError,
-)
-from .game import StrategyTree, member, winning_set, winning_set_cardinality
+from .errors import InternalConsistencyError, PreconditionError, WinshiftError
+from .game import StrategyTree, member, winning_members, winning_set, winning_set_cardinality
 from .recognizability import sync_delay
 from .substitution import (
     Substitution,
@@ -353,7 +347,7 @@ def run_verify(
     with check("downward-closure") as done:
         ok = True
         for n in range(1, min(depth, 8) + 1):
-            members = winning_set(language(subst, n).words).expansion
+            members = winning_members(language(subst, n).words)
             for alpha in members:
                 for p, letter in enumerate(alpha):
                     if letter > 1:
@@ -530,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=_parse_cap,
         default=os.environ.get(_SYNC_CAP_ENV) or None,
-        help=f"length cap of the search (default: ${_SYNC_CAP_ENV}, else a built-in bound)",
+        help=f"length cap of the search (default: ${_SYNC_CAP_ENV}, else none)",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_syncdelay)
@@ -597,23 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
-    try:
-        return args.handler(args)
-    except CapExceededError:
-        # A periodic subshift never synchronizes, so a larger cap cannot
-        # help; the probe runs on this failure path only.
-        subst = resolve_substitution(args.subst)[0] if getattr(args, "subst", None) else None
-        if subst is not None and subst.primitive:
-            probe = periodicity_probe(subst)
-            if probe.periodic:
-                raise PeriodicInputError(
-                    "the substitution is periodic: its factor complexity stalls "
-                    f"at length {probe.detected_at}, so no cap can help"
-                ) from None
-        raise
-
-
 def _usage_problem(args) -> str | None:
     """A rule the command line breaks that argparse does not check."""
     if args.command == "winshift":
@@ -646,7 +623,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {problem}\n")
         return 2
     try:
-        return _run(args)
+        return args.handler(args)
     except WinshiftError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -175,33 +175,29 @@ class WinningSet:
     """A winning set stored as the antichain of its maximal elements.
 
     Downward closure makes the antichain canonical: a sequence is a
-    member iff it is letterwise below some maximal element.  The full
-    expansion is materialized only for short games.
+    member iff it is letterwise below some maximal element.
     """
 
     n: int
     maximal: tuple[ChoiceSequence, ...]
-    expansion: frozenset[ChoiceSequence] | None
 
     def __contains__(self, alpha) -> bool:
         alpha = tuple(alpha)
         return any(le(alpha, m) for m in self.maximal)
 
 
-def winning_set(X, expansion_threshold: int = 16) -> WinningSet:
+def winning_set(X) -> WinningSet:
     """Exact winning set of a target of equal-length words."""
     target = _as_target(X)
     if not target:
-        return WinningSet(0, (), frozenset())
+        return WinningSet(0, ())
     n = _target_length(target)
     members = _members(target)
     if len(members) != len(target):
         raise InternalConsistencyError(
             f"winning set size {len(members)} differs from target size {len(target)}"
         )
-    maximal = _antichain(members)
-    expansion = members if n <= expansion_threshold else None
-    return WinningSet(n, maximal, expansion)
+    return WinningSet(n, _antichain(members))
 
 
 def _antichain(members: frozenset[ChoiceSequence]) -> tuple[ChoiceSequence, ...]:

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
 from .errors import (
     CapExceededError,
     InternalConsistencyError,
     NotInLanguageError,
+    PeriodicInputError,
     PreconditionError,
 )
 from .substitution import Substitution, language
@@ -98,44 +100,61 @@ def sync_analysis(subst: Substitution, w: Word) -> SyncAnalysis:
     return SyncAnalysis(tuple(w), offsets, positions)
 
 
-def default_sync_cap(subst: Substitution) -> int:
-    M = subst.uniform_length or max(len(img) for img in subst.images)
-    return max(4 * M * M, 64)
-
-
 def sync_delay(subst: Substitution, cap: int | None = None) -> SyncDelay:
     """Least length at which every language word is synchronized.
 
     Synchronization is monotone in the length, so the first fully
     synchronized level is the delay; the last unsynchronized word seen
-    certifies minimality.
+    certifies minimality.  The search reads n = 1, 2, ... and stops at
+    the first n where one of these holds, checked in this order:
+
+    - every word of ``L_n`` is synchronized: the delay is n;
+    - ``|L_{n+1}| = |L_n|``: ``PeriodicInputError`` names n;
+    - n equals an explicit ``cap``: ``CapExceededError``.
+
+    A stall proves periodicity: by Morse and Hedlund it makes the
+    subshift eventually periodic, and the subshift of a primitive
+    substitution is minimal, hence periodic.  An aperiodic input never
+    stalls, so the periodic verdict is never wrong.  Without a cap the
+    loop ends: an aperiodic primitive substitution synchronizes (Mossé),
+    and a periodic one has bounded nondecreasing complexity, so it stalls.
+    Lengths are read in increasing order, so the stall reported is the
+    first one, the length ``periodicity_probe`` reports as ``detected_at``.
     """
     subst.require("synchronization delay", "uniform", "primitive")
-    limit = default_sync_cap(subst) if cap is None else cap
-    if limit < 1:
+    if cap is not None and cap < 1:
         raise PreconditionError("cap must be >= 1")
-    return _sync_delay_search(subst, limit)
+    return _sync_delay_search(subst, cap)
 
 
 @lru_cache(maxsize=None)
-def _sync_delay_search(subst: Substitution, limit: int) -> SyncDelay:
+def _sync_delay_search(subst: Substitution, limit: int | None) -> SyncDelay:
     witness: Word | None = None
     witness_offsets: frozenset[int] = frozenset()
-    for n in range(1, limit + 1):
+    level = language(subst, 1)
+    for n in count(1):
         unsynchronized = None
-        for w in language(subst, n).words:
+        for w in level.words:
             ana = sync_analysis(subst, w)
             if not ana.synchronized:
                 unsynchronized = ana
                 break
         if unsynchronized is None:
             return SyncDelay(n, witness, witness_offsets)
+        following = language(subst, n + 1)
+        if len(following) == len(level):
+            raise PeriodicInputError(
+                "the substitution is periodic: its factor complexity stalls "
+                f"at length {n}, so no cap can help"
+            )
+        if n == limit:
+            raise CapExceededError(
+                f"no synchronization delay found up to length {limit}; "
+                "the substitution may be periodic, or raise the cap"
+            )
         witness = unsynchronized.word
         witness_offsets = unsynchronized.offsets
-    raise CapExceededError(
-        f"no synchronization delay found up to length {limit}; "
-        "the substitution may be periodic, or raise the cap"
-    )
+        level = following
 
 
 def decomposition(subst: Substitution, w: Word) -> int:

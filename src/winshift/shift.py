@@ -392,14 +392,26 @@ def desubstitute_strategy(subst: Substitution, tree: StrategyTree) -> StrategyTr
     by_first = {subst.image(a)[0]: a for a in subst.letters}
     by_image = {subst.image(a): a for a in subst.letters}
 
-    def desub(node: StrategyTree, done: int) -> StrategyTree:
+    # nodes are filled top-down from a stack, like game._strategy: a long
+    # game is one tree level per letter, too deep to recurse
+    root = StrategyTree(())
+    stack: list[tuple[StrategyTree, StrategyTree, int]] = []
+    for played, node in _paths_to_depth(tree, head):
+        a = by_last.get(played[-1])
+        if a is None or subst.image(a)[M - head:] != played:
+            raise InternalConsistencyError("head play is not an image suffix")
+        root.children[a] = StrategyTree(())
+        stack.append((root.children[a], node, head))
+    root.offer = tuple(sorted(root.children))
+    while stack:
+        out, node, done = stack.pop()
         if done == total - 1:
             for child in node.children.values():
                 if not child.is_leaf:
                     raise InternalConsistencyError("final round must end the strategy")
-            offer = tuple(sorted(by_first[c] for c in node.offer))
-            return StrategyTree(offer, {a: StrategyTree(()) for a in offer})
-        children: dict[int, StrategyTree] = {}
+            out.offer = tuple(sorted(by_first[c] for c in node.offer))
+            out.children = {a: StrategyTree(()) for a in out.offer}
+            continue
         for c in node.offer:
             segment = [c]
             cursor = node.children[c]
@@ -412,13 +424,7 @@ def desubstitute_strategy(subst: Substitution, tree: StrategyTree) -> StrategyTr
             letter = by_image.get(tuple(segment))
             if letter is None:
                 raise InternalConsistencyError("block segment is not an image")
-            children[letter] = desub(cursor, done + M)
-        return StrategyTree(tuple(sorted(children)), children)
-
-    heads: dict[int, StrategyTree] = {}
-    for played, node in _paths_to_depth(tree, head):
-        a = by_last.get(played[-1])
-        if a is None or subst.image(a)[M - head:] != played:
-            raise InternalConsistencyError("head play is not an image suffix")
-        heads[a] = desub(node, head)
-    return StrategyTree(tuple(sorted(heads)), heads)
+            out.children[letter] = StrategyTree(())
+            stack.append((out.children[letter], cursor, done + M))
+        out.offer = tuple(sorted(out.children))
+    return root

@@ -259,6 +259,7 @@ def test_periodic_input_names_the_stall(capsys, monkeypatch):
     for argv in (
         ["winshift", "--subst", "gtm:3,2", "--length", "5"],
         ["syncdelay", "--subst", "gtm:3,2"],
+        ["syncdelay", "--subst", "gtm:3,2", "--cap", "20"],
         ["delta", "--subst", "gtm:3,2", "--n", "5"],
         ["complexity", "--subst", "gtm:3,2", "--upto", "5"],
         # length 1 alone prints "1: ◇"; a table is all or nothing

@@ -67,8 +67,9 @@ def test_residual_of_language(tm):
 
 
 def test_winning_set_of_tm_length_4(tm):
-    ws = winning_set(language(tm, 4).words)
-    assert ws.expansion == frozenset(
+    X = language(tm, 4).words
+    ws = winning_set(X)
+    assert winning_members(X) == frozenset(
         parse_choices(t, 2)
         for t in [
             "1111", "2111", "1211", "1121", "1112",
@@ -78,28 +79,29 @@ def test_winning_set_of_tm_length_4(tm):
     # the antichain of the full downward closed set; 2121 is the padded
     # maximal member, 2212 the irreducible one
     assert ws.maximal == ((2, 1, 2, 1), (2, 2, 1, 2))
-    irreducible = {a for a in ws.expansion if is_irreducible(a)}
+    irreducible = {a for a in winning_members(X) if is_irreducible(a)}
     assert irreducible == {
         (1, 1, 1, 2), (2, 1, 1, 2), (1, 2, 1, 2), (2, 2, 1, 2),
     }
 
 
 def test_winning_set_of_singleton():
-    ws = winning_set(frozenset({(0, 1, 1)}))
+    X = frozenset({(0, 1, 1)})
+    ws = winning_set(X)
     assert ws.maximal == ((1, 1, 1),)
-    assert ws.expansion == frozenset({(1, 1, 1)})
+    assert winning_members(X) == frozenset({(1, 1, 1)})
 
 
 def test_winning_set_of_full_cube():
     X = frozenset(product((0, 1), repeat=3))
     ws = winning_set(X)
-    assert ws.expansion == frozenset(product((1, 2), repeat=3))
+    assert winning_members(X) == frozenset(product((1, 2), repeat=3))
     assert ws.maximal == ((2, 2, 2),)
 
 
 def test_winning_set_edge_cases():
-    assert winning_set(frozenset()).expansion == frozenset()
-    assert winning_set(frozenset({()})).expansion == frozenset({()})
+    assert winning_members(frozenset()) == frozenset()
+    assert winning_members(frozenset({()})) == frozenset({()})
     with pytest.raises(PreconditionError):
         winning_set({(0,), (0, 1)})
 
@@ -107,10 +109,8 @@ def test_winning_set_edge_cases():
 def test_winning_set_expansion_threshold(tm):
     X = language(tm, 17).words
     ws = winning_set(X)
-    assert ws.expansion is None  # past the default threshold of 16
     assert (2,) + (1,) * 15 + (2,) in ws
     assert (2, 2) + (1,) * 14 + (2,) not in ws
-    assert winning_set(X, expansion_threshold=20).expansion is not None
 
 
 def test_member_win_produces_valid_tree(tm):

@@ -1,15 +1,24 @@
+import random
+from contextlib import suppress
+from itertools import product
+
 import pytest
 
+import winshift.recognizability as recognizability
 from winshift import (
     CapExceededError,
     Interpretation,
     NotInLanguageError,
+    PeriodicInputError,
     PreconditionError,
+    SyncDelay,
     decomposition,
     gtm_substitution,
     interpretations,
     language,
+    make_substitution,
     parse_word,
+    periodicity_probe,
     sync_analysis,
     sync_delay,
 )
@@ -102,6 +111,77 @@ def test_decomposition_shifts_under_extension(ex42):
             assert inner == (outer - t) % M
 
 
-def test_cap_exceeded_for_periodic_input():
-    with pytest.raises(CapExceededError):
+def test_cap_exceeded_for_periodic_input(tm):
+    with pytest.raises(PeriodicInputError, match="stalls at length 1"):
         sync_delay(gtm_substitution(3, 2), 20)
+    with pytest.raises(CapExceededError):
+        sync_delay(tm, 3)
+
+
+def reference_sync_delay(subst, limit=64):
+    """The search before the stall check: synchronized levels only, up to a cap."""
+    witness, witness_offsets = None, frozenset()
+    for n in range(1, limit + 1):
+        analyses = (sync_analysis(subst, w) for w in language(subst, n).words)
+        unsynchronized = next((ana for ana in analyses if not ana.synchronized), None)
+        if unsynchronized is None:
+            return SyncDelay(n, witness, witness_offsets)
+        witness, witness_offsets = unsynchronized.word, unsynchronized.offsets
+    raise CapExceededError(f"no synchronization delay found up to length {limit}")
+
+
+def primitive_uniform_inputs():
+    """Every primitive input with s = 2 and M <= 4 or s = 3 and M = 2, and
+    60 seeded ones with s = M = 3."""
+    found = [
+        make_substitution(images)
+        for s, M in ((2, 2), (2, 3), (2, 4), (3, 2))
+        for images in product(product(range(s), repeat=M), repeat=s)
+    ]
+    found = [subst for subst in found if subst.primitive]
+    rng = random.Random(3)
+    seeded = 0
+    while seeded < 60:
+        subst = make_substitution(
+            [tuple(rng.randrange(3) for _ in range(3)) for _ in range(3)]
+        )
+        if subst.primitive:
+            found.append(subst)
+            seeded += 1
+    return found
+
+
+def test_search_stops_on_exact_grounds_only():
+    # a periodic input that synchronizes, such as [(0,1),(0,1)], keeps its
+    # delay; one that never does is named at the probe's first stall
+    periodic = 0
+    for subst in primitive_uniform_inputs():
+        try:
+            expected = reference_sync_delay(subst)
+        except CapExceededError:
+            stall = periodicity_probe(subst).detected_at
+            with pytest.raises(PeriodicInputError, match=f"stalls at length {stall},"):
+                sync_delay(subst)
+            periodic += 1
+        else:
+            assert sync_delay(subst) == expected, subst.images
+    assert periodic == 10
+    assert sync_delay(make_substitution([(0, 1), (0, 1)])) == SyncDelay(1, None, frozenset())
+
+
+def test_search_reads_no_level_past_the_delay_or_the_stall(tm, ex42, monkeypatch):
+    # each level is read once and carried: the stall check at n reads
+    # L_{n+1}, which is the next level of the search
+    read = []
+
+    def recording(subst, n):
+        read.append(n)
+        return language(subst, n)
+
+    monkeypatch.setattr(recognizability, "language", recording)
+    search = recognizability._sync_delay_search.__wrapped__
+    for subst, last in ((tm, 4), (ex42, 5), (gtm_substitution(3, 2), 2)):
+        read.clear()
+        with suppress(PeriodicInputError):
+            search(subst, None)
+        assert max(read) == last

@@ -17,6 +17,7 @@ from winshift import (
     member,
     parse_choices,
     strategy_choice_sequence,
+    strategy_plays,
     stretch,
     substitute_strategy,
     sync_delay,
@@ -386,3 +387,77 @@ def test_transport_of_a_long_strategy_does_not_recurse_per_letter(tm):
             assert strategy_choice_sequence(back) == (beta[0],) + beta[2::2]
             assert validate_strategy(back, language(tm, 200).words)
     assert irreducible == 2
+
+
+def reference_desubstitute_strategy(subst, tree):
+    """``desubstitute_strategy`` as one recursive call per image block."""
+    M = subst.uniform_length
+    total = len(strategy_choice_sequence(tree))
+    head = (total - 2) % M + 1
+    by_last = {subst.image(a)[-1]: a for a in subst.letters}
+    by_first = {subst.image(a)[0]: a for a in subst.letters}
+    by_image = {subst.image(a): a for a in subst.letters}
+
+    def desub(node, done):
+        if done == total - 1:
+            offer = tuple(sorted(by_first[c] for c in node.offer))
+            return StrategyTree(offer, {a: StrategyTree(()) for a in offer})
+        children = {}
+        for c in node.offer:
+            segment = [c]
+            cursor = node.children[c]
+            for _ in range(M - 1):
+                (d,) = cursor.offer
+                segment.append(d)
+                cursor = cursor.children[d]
+            children[by_image[tuple(segment)]] = desub(cursor, done + M)
+        return StrategyTree(tuple(sorted(children)), children)
+
+    heads = {by_last[played[-1]]: desub(node, head) for played, node in _paths_to_depth(tree, head)}
+    return StrategyTree(tuple(sorted(heads)), heads)
+
+
+def same_tree(a, b):
+    """Equal offers and equal child key order at every node."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x.offer != y.offer or list(x.children) != list(y.children):
+            return False
+        stack.extend(zip(x.children.values(), y.children.values()))
+    return True
+
+
+def test_desubstitution_matches_the_recursive_reference(tm, gtm23, gtm33):
+    checked = 0
+    for subst in (tm, gtm23, gtm33):
+        M = subst.uniform_length
+        delay = sync_delay(subst).delay
+        for n in range(2, 6):
+            X = language(subst, n).words
+            for alpha in sorted(enumerate_irreducible(subst, n))[:6]:
+                base = member(X, alpha, alphabet_size=subst.size).strategy
+                for head in range(1, M + 1):
+                    for beta, tree in substitute_strategy(subst, base, head, 1):
+                        if beta[-1] == 1 or len(beta) <= delay:
+                            continue
+                        back = desubstitute_strategy(subst, tree)
+                        assert same_tree(back, reference_desubstitute_strategy(subst, tree))
+                        checked += 1
+    assert checked == 228
+
+
+def test_desubstitution_of_a_long_strategy_does_not_recurse_per_block(tm):
+    # four transports of a 200-round strategy give 3185 rounds, one tree
+    # level per letter; the tree is checked against the 1593-round one it
+    # came from, not against language(tm, 3185)
+    tree = member(language(tm, 200).words, (2,) + (1,) * 198 + (2,)).strategy
+    for _ in range(4):
+        short = tree
+        beta, tree = next(
+            (b, t) for b, t in substitute_strategy(tm, short, 2, 1) if b[-1] != 1
+        )
+    assert len(beta) == 3185
+    back = desubstitute_strategy(tm, tree)
+    assert strategy_choice_sequence(back) == (beta[0],) + beta[2::2]
+    assert strategy_plays(back) == strategy_plays(short)
