@@ -83,6 +83,7 @@ from .substitution import (
     Substitution,
     default_probe_bound,
     fixed_point_prefix,
+    is_factor,
     language,
     make_substitution,
     periodicity_probe,

@@ -26,8 +26,8 @@ from .substitution import (
     language,
     periodicity_probe,
 )
-from .tm_reference import compress, compress_groups, expand_row
-from .words import format_choices, format_word, parse_choices
+from .tm_reference import WILDCARD, expand_row
+from .words import ChoiceSequence, format_choices, format_word, parse_choices
 
 _SYNC_CAP_ENV = "WINSHIFT_SYNC_CAP"
 
@@ -157,6 +157,37 @@ def _winshift_groups(subst: Substitution, n: int, method: str) -> dict:
         suffix: range(1 if suffix else 2, k + 1)
         for suffix, k in shift.irreducible_groups(subst, n, method).items()
     }
+
+
+def compress(sequences, m: int) -> tuple[str, ...]:
+    """Wildcard-compress a set of sequences for table display.
+
+    A suffix group collapses to a wildcard row exactly when every first
+    letter 1..m occurs (or, at length 1, when all irreducible first
+    letters occur); other groups are listed concretely.  Rows are spelled
+    by :func:`format_choices`, so above 9 letters they read ``◇,1,10``.
+    """
+    groups: dict[ChoiceSequence, set[int]] = {}
+    for seq in sequences:
+        groups.setdefault(tuple(seq[1:]), set()).add(seq[0])
+    return compress_groups(groups, m)
+
+
+def compress_groups(groups, m: int) -> tuple[str, ...]:
+    """The rows of :func:`compress` from a map suffix -> its first letters."""
+    rows: list[str] = []
+    for suffix in sorted(groups):
+        firsts = sorted(groups[suffix])
+        # At length 1 the first letter is also the last, so 1 is reducible
+        # and a wildcard row can only ever cover 2..m.
+        covered = range(1 if suffix else 2, m + 1)
+        # the suffix with its leading separator, if any; formatted once
+        tail = format_choices((0,) + suffix, m)[1:]
+        if firsts == list(covered):
+            rows.append(WILDCARD + tail)
+        else:
+            rows.extend(f"{first}{tail}" for first in firsts)
+    return tuple(rows)
 
 
 def _spell_sorted(groups: dict, m: int) -> list[str]:

@@ -18,14 +18,25 @@ target, level by level, and winning sets are sets of hash-consed integer
 ids of choice sequences (a letter followed by the id of the rest), so no
 step copies or hashes a whole sequence: a state costs time in proportion
 to its children's winning sets, whatever the word length.  Maximal winning
-sequences are found by testing one-letter raises, which is exact for a
-downward closed set.
+sequences are found on the same ids: a member is maximal iff none of its
+one-letter raises wins, which is exact for a downward closed set, and the
+raises of t.j are (t+1).j and t.r for each raise r of j, so one sweep in id
+order finds every id's raises without spelling a sequence.
+
+The builders (automaton, strategy, refutation, maximal sequences) run with
+the cyclic garbage collector paused.  They allocate one container per state,
+node or id and form no reference cycle, so reference counting frees all of
+it; left on, the collector would rescan these live containers again and
+again while they are built.  The caller's setting is restored on return;
+the switch is process-wide, so a thread that flips it while a builder runs
+may find it reset when the builder returns.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, wraps
 from itertools import combinations
 
 from .errors import InternalConsistencyError, PreconditionError
@@ -94,11 +105,30 @@ class _Automaton:
         return out
 
     def spell(self, i: int) -> ChoiceSequence:
-        letters = []
+        cons, letters = self.cons, []
         while i:
-            t, i = self.cons[i]
+            t, i = cons[i]
             letters.append(t)
         return tuple(letters)
+
+
+def _collector_paused(build):
+    """Run ``build`` with the cyclic collector off, then leave it as the caller had it.
+
+    Only for builders that form no reference cycle (see the module docstring).
+    """
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _common_prefix(u: Word, v: Word) -> int:
@@ -109,6 +139,7 @@ def _common_prefix(u: Word, v: Word) -> int:
 
 
 @lru_cache(maxsize=None)
+@_collector_paused
 def _automaton(target: frozenset[Word]) -> _Automaton:
     delta: list[tuple[tuple[int, int], ...]] = [(), ()]
     wins: list[frozenset[int]] = [frozenset(), frozenset({0})]
@@ -127,17 +158,18 @@ def _automaton(target: frozenset[Word]) -> _Automaton:
             # Backward induction: k.b wins iff b wins the quotient game for
             # at least k distinct first letters.
             if len(signature) == 1:
-                counts = dict.fromkeys(wins[signature[0][1]], 1)
+                won = [ids.setdefault((1, beta), len(ids) + 1) for beta in wins[signature[0][1]]]
             else:
-                counts = {}
+                counts: dict[int, int] = {}
                 for _, q in signature:
                     for beta in wins[q]:
                         counts[beta] = counts.get(beta, 0) + 1
-            wins.append(frozenset([
-                ids.setdefault((t, beta), len(ids) + 1)
-                for beta, k in counts.items()
-                for t in range(1, k + 1)
-            ]))
+                won = [
+                    ids.setdefault((t, beta), len(ids) + 1)
+                    for beta, k in counts.items()
+                    for t in range(1, k + 1)
+                ]
+            wins.append(frozenset(won))
         return state
 
     # Minimise the trie of the sorted target bottom-up by depth.  Its nodes
@@ -197,20 +229,31 @@ def winning_set(X) -> WinningSet:
         raise InternalConsistencyError(
             f"winning set size {len(members)} differs from target size {len(target)}"
         )
-    return WinningSet(n, _antichain(members))
+    return WinningSet(n, _antichain(_automaton(target)))
 
 
-def _antichain(members: frozenset[ChoiceSequence]) -> tuple[ChoiceSequence, ...]:
-    # members is downward closed: if a < b for a member b, raising a by one
-    # at a position where it lies below b stays <= b, so that raise is a
-    # member.  Hence a is maximal iff none of its one-letter raises is.
-    return tuple(
-        sorted(
-            a
-            for a in members
-            if not any(a[:i] + (a[i] + 1,) + a[i + 1:] in members for i in range(len(a)))
-        )
-    )
+@_collector_paused
+def _antichain(automaton: _Automaton) -> tuple[ChoiceSequence, ...]:
+    # The root's winning set is downward closed: if a < b for a member b,
+    # raising a by one at a position where it lies below b stays <= b, so
+    # that raise is a member.  Hence a is maximal iff none of its one-letter
+    # raises is.  The raises of t.j are (t+1).j and t.r for each raise r of
+    # j.  A raise that wins the root has all its suffixes interned, so only
+    # interned raises matter; every id comes after its tail, so one sweep
+    # over ``cons`` finds each id's interned raises.
+    get, wins = automaton.ids.get, automaton.wins[automaton.root]
+    raises: list[list[int]] = [[]]
+    for t, j in automaton.cons[1:]:
+        below = raises[j]
+        # most ids have no raise below them: build no list for those
+        up = [i for i in map(get, [(t, r) for r in below]) if i is not None] if below else []
+        i = get((t + 1, j))
+        if i is not None:
+            up.append(i)
+        raises.append(up)
+    return tuple(sorted(
+        automaton.spell(a) for a in wins if not any(r in wins for r in raises[a])
+    ))
 
 
 def winning_set_cardinality(X) -> int:
@@ -299,6 +342,7 @@ def member(X, alpha, alphabet_size: int | None = None) -> MemberResult:
     return MemberResult(False, refutation=_refutation(automaton, alpha, suffixes, size))
 
 
+@_collector_paused
 def _strategy(automaton: _Automaton, alpha: ChoiceSequence, suffixes: list[int]) -> StrategyTree:
     # Deterministic extraction: offer the lexicographically least subset
     # of letters whose quotient game stays winning.  Nodes are filled from
@@ -327,6 +371,7 @@ def _strategy(automaton: _Automaton, alpha: ChoiceSequence, suffixes: list[int])
     return root
 
 
+@_collector_paused
 def _refutation(
     automaton: _Automaton, alpha: ChoiceSequence, suffixes: list[int], size: int
 ) -> Refutation:

@@ -30,7 +30,7 @@ from .game import (
     winning_members,
 )
 from .recognizability import decomposition, sync_delay
-from .substitution import Substitution, language
+from .substitution import Substitution, is_factor, language
 from .words import ChoiceSequence, Word, is_irreducible
 
 
@@ -293,7 +293,7 @@ def substitute_strategy(
     n = len(strategy_choice_sequence(tree))
     if n < 2:
         raise PreconditionError("base strategy must have at least two rounds")
-    if not strategy_plays(tree) <= language(subst, n).word_set:
+    if not all(is_factor(subst, play) for play in strategy_plays(tree)):
         raise PreconditionError("base strategy is not winning for the factor language")
 
     def target(offer, depth: int) -> frozenset[Word]:

@@ -196,6 +196,14 @@ def _two_letter_factors(subst: Substitution) -> frozenset[Word]:
     return frozenset(found)
 
 
+def _blocks(subst: Substitution, n: int) -> list[Word]:
+    """The level-k blocks ``σ^k(a)`` of :func:`language`, one per letter a."""
+    blocks = [(a,) for a in subst.letters]
+    while min(len(block) for block in blocks) < n - 1:
+        blocks = [subst.apply(block) for block in blocks]
+    return blocks
+
+
 @lru_cache(maxsize=None)
 def language(subst: Substitution, n: int) -> FactorLanguage:
     """All length-``n`` factors of the subshift generated by a primitive substitution.
@@ -227,14 +235,39 @@ def language(subst: Substitution, n: int) -> FactorLanguage:
     if n < 0:
         raise PreconditionError("factor length must be nonnegative")
     subst.require("factor language computation", "primitive")
-    blocks = [(a,) for a in subst.letters]
-    while min(len(block) for block in blocks) < n - 1:
-        blocks = [subst.apply(block) for block in blocks]
+    blocks = _blocks(subst, n)
     found: set[Word] = set()
     for a, b in _two_letter_factors(subst):
         pair = blocks[a] + blocks[b]
         found.update(pair[i:i + n] for i in range(len(blocks[a])))
     return FactorLanguage(n, tuple(sorted(found)))
+
+
+@lru_cache(maxsize=None)
+def _factor_text(subst: Substitution, n: int) -> str:
+    # Each pair σ^k(a)σ^k(b) of ``language`` spelled one letter per code
+    # point, so letters past a byte need no special care; pairs are joined
+    # by chr(s), which is no letter, so no match straddles two of them.
+    blocks = _blocks(subst, n)
+    return chr(subst.size).join(
+        "".join(map(chr, blocks[a] + blocks[b])) for a, b in _two_letter_factors(subst)
+    )
+
+
+def is_factor(subst: Substitution, w) -> bool:
+    """Whether ``w`` is a factor of the subshift, i.e. ``w in language(subst, len(w))``.
+
+    Only the pairs ``σ^k(a)σ^k(b)`` of :func:`language` are built, never
+    ``L_n`` itself: w is a factor iff it occurs in one of them.  Every
+    window of such a pair is a factor, since ``σ^k(ab)`` is one, and the
+    ``language`` docstring shows that every factor is such a window.  A
+    letter outside the alphabet makes no factor.
+    """
+    w = tuple(w)
+    subst.require("factor test", "primitive")
+    if not all(isinstance(a, int) and 0 <= a < subst.size for a in w):
+        return False
+    return "".join(map(chr, w)) in _factor_text(subst, len(w))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ results are dropped, which only matters at length 1).
 
 from __future__ import annotations
 
-from .words import ChoiceSequence, format_choices, is_irreducible, parse_choices
+from .words import ChoiceSequence, is_irreducible, parse_choices
 
 WILDCARD = "◇"
 
@@ -41,7 +41,7 @@ THUE_MORSE_ROWS: dict[int, tuple[str, ...]] = {
 
 
 def expand_pattern(pattern: str, m: int) -> frozenset[ChoiceSequence]:
-    """Concrete irreducible sequences matching one row of :func:`compress`."""
+    """Concrete irreducible sequences matching one row of ``cli.compress``."""
     if pattern.startswith(WILDCARD):
         # the suffix is spelled as if behind a first letter, as compress writes it
         suffix = parse_choices("1" + pattern[len(WILDCARD):], m)[1:]
@@ -57,34 +57,3 @@ def expand_row(n: int, m: int = 2) -> frozenset[ChoiceSequence]:
     for pattern in THUE_MORSE_ROWS[n]:
         out |= expand_pattern(pattern, m)
     return frozenset(out)
-
-
-def compress(sequences, m: int) -> tuple[str, ...]:
-    """Wildcard-compress a set of sequences for table display.
-
-    A suffix group collapses to a wildcard row exactly when every first
-    letter 1..m occurs (or, at length 1, when all irreducible first
-    letters occur); other groups are listed concretely.  Rows are spelled
-    by :func:`format_choices`, so above 9 letters they read ``◇,1,10``.
-    """
-    groups: dict[ChoiceSequence, set[int]] = {}
-    for seq in sequences:
-        groups.setdefault(tuple(seq[1:]), set()).add(seq[0])
-    return compress_groups(groups, m)
-
-
-def compress_groups(groups, m: int) -> tuple[str, ...]:
-    """The rows of :func:`compress` from a map suffix -> its first letters."""
-    rows: list[str] = []
-    for suffix in sorted(groups):
-        firsts = sorted(groups[suffix])
-        # At length 1 the first letter is also the last, so 1 is reducible
-        # and a wildcard row can only ever cover 2..m.
-        covered = range(1 if suffix else 2, m + 1)
-        # the suffix with its leading separator, if any; formatted once
-        tail = format_choices((0,) + suffix, m)[1:]
-        if firsts == list(covered):
-            rows.append(WILDCARD + tail)
-        else:
-            rows.extend(f"{first}{tail}" for first in firsts)
-    return tuple(rows)

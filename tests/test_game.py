@@ -1,3 +1,4 @@
+import gc
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -319,6 +320,21 @@ def reference_antichain(members):
     return tuple(sorted(a for a in members if not any(a != b and le(a, b) for b in members)))
 
 
+def slicing_antichain(members):
+    """Maximal members found by spelling every one-letter raise of every member.
+
+    Exact because a winning set is downward closed; quadratic in the word
+    length per member, so it reaches lengths the pairwise reference does not.
+    """
+    return tuple(
+        sorted(
+            a
+            for a in members
+            if not any(a[:i] + (a[i] + 1,) + a[i + 1:] in members for i in range(len(a)))
+        )
+    )
+
+
 def same_strategy(a, b):
     stack = [(a, b)]
     while stack:
@@ -389,6 +405,54 @@ def test_languages_match_reference(name, request):
             if m[i] < subst.size
         }
         assert_matches_reference(X, subst.size, sorted(members) + sorted(raised))
+
+
+@pytest.mark.parametrize("name", ["tm", "ex42", "ex46", "gtm23"])
+def test_long_antichains_match_the_slicing_reference(name, request):
+    subst = request.getfixturevalue(name)
+    for n in (40, 79, 120):
+        X = language(subst, n).words
+        assert winning_set(X).maximal == slicing_antichain(winning_members(X)), n
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector left on or off by the caller; restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_solver_leaves_the_collector_as_it_found_it(collector):
+    import winshift.game as game
+
+    # a target no other test or parameter builds, so its automaton is cold
+    top = 7 if collector else 8
+    X = frozenset(product((0, top), repeat=6)) - {(top,) * 6}
+    misses = game._automaton.cache_info().misses
+    game._automaton(X)
+    assert game._automaton.cache_info().misses == misses + 1
+    assert gc.isenabled() == collector
+    assert len(winning_set(X).maximal) > 1 and gc.isenabled() == collector
+    assert member(X, (2,) * 5 + (1,)).win and gc.isenabled() == collector
+    assert not member(X, (2,) * 6).win and gc.isenabled() == collector
+
+
+def test_a_failing_builder_restores_the_collector(collector):
+    import winshift.game as game
+
+    X = frozenset({(0, 0), (1, 1)})
+    automaton = game._automaton(X)
+    winning, losing = (2, 1), (2, 2)
+    with pytest.raises(InternalConsistencyError, match="winning sequence"):
+        game._refutation(automaton, winning, automaton.suffix_ids(winning), 2)
+    assert gc.isenabled() == collector
+    with pytest.raises(InternalConsistencyError, match="losing sequence"):
+        game._strategy(automaton, losing, automaton.suffix_ids(losing))
+    assert gc.isenabled() == collector
 
 
 # Certificates on long games and malformed input: no recursion, no expansion

@@ -25,10 +25,11 @@ from winshift import (
     verify_form,
 )
 from winshift.catalog import builtin_substitution
+from winshift.cli import compress
 from winshift.errors import InternalConsistencyError
 from winshift.game import StrategyTree, winning_members
 from winshift.shift import _head_groups, _paths_to_depth, _suffix_target
-from winshift.tm_reference import THUE_MORSE_ROWS, compress, expand_pattern, expand_row
+from winshift.tm_reference import THUE_MORSE_ROWS, expand_pattern, expand_row
 
 PERM4 = make_substitution([(0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0)])
 
@@ -214,6 +215,31 @@ def test_substitute_strategy_outputs_all_win(tm, gtm23):
                         size = head + (n - 2) * M + tail
                         assert len(beta) == size
                         assert validate_strategy(tree, language(subst, size).words)
+
+
+def test_base_strategy_with_a_play_outside_the_language_is_refused(tm):
+    # 1001 is a factor of Thue-Morse and 0000 is not (no cubes)
+    base = member(frozenset({(0, 0, 0, 0), (1, 0, 0, 1)}), (2, 1, 1, 1)).strategy
+    assert strategy_plays(base) == {(0, 0, 0, 0), (1, 0, 0, 1)}
+    assert (1, 0, 0, 1) in language(tm, 4) and (0, 0, 0, 0) not in language(tm, 4)
+    with pytest.raises(PreconditionError, match="base strategy is not winning"):
+        substitute_strategy(tm, base, 1, 1)
+
+
+def test_transport_builds_no_factor_language_at_the_base_length(tm, monkeypatch):
+    import winshift.shift as shift
+
+    base = member(language(tm, 200).words, (2,) + (1,) * 198 + (2,)).strategy
+    built = []
+
+    def recorded(subst, n):
+        built.append(n)
+        return language(subst, n)
+
+    monkeypatch.setattr(shift, "language", recorded)
+    pairs = substitute_strategy(tm, base, 2, 1)
+    assert built == []
+    assert any(beta[-1] != 1 and len(beta) == 399 for beta, _ in pairs)
 
 
 def test_degenerate_substitution_forces_ones(tm):

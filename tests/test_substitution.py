@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from winshift import (
     builtin_substitution,
     factors,
     fixed_point_prefix,
+    is_factor,
     language,
     make_substitution,
     parse_word,
@@ -184,10 +186,38 @@ def test_language_sizes_nondecreasing(tm, ex42, ex46):
         assert len(set(sizes)) == len(sizes)  # strictly increasing: aperiodic
 
 
+@pytest.mark.parametrize("name", ["tm", "ex42", "gtm23", "fibonacci"])
+def test_is_factor_agrees_with_language(name, request):
+    if name == "fibonacci":
+        subst = make_substitution([(0, 1), (0,)])
+    else:
+        subst = request.getfixturevalue(name)
+    for n in range(9):
+        lang = language(subst, n)
+        for w in product(subst.letters, repeat=n):
+            assert is_factor(subst, w) == (w in lang), w
+
+
+def test_is_factor_past_a_byte():
+    # 257 letters, so a letter does not fit in a byte; every image holds
+    # every letter, which keeps the primitivity check to one matrix
+    s = 257
+    subst = make_substitution([(a,) + tuple(range(s)) for a in range(s)])
+    rng = random.Random(5)
+    for n in range(1, 4):
+        lang = language(subst, n)
+        assert all(is_factor(subst, w) for w in lang.words)
+        near = [tuple(rng.choice((0, 1, 255, 256)) for _ in range(n)) for _ in range(60)]
+        assert [is_factor(subst, w) for w in near] == [w in lang for w in near]
+    assert not is_factor(subst, (s,)) and not is_factor(subst, (-1, 0))
+
+
 def test_language_requires_primitive():
     stuck = make_substitution([(0, 0), (1, 1)])
     with pytest.raises(UnsupportedInputError):
         language(stuck, 2)
+    with pytest.raises(UnsupportedInputError):
+        is_factor(stuck, (0, 0))
 
 
 def test_tm_is_overlap_free(tm):

@@ -18,8 +18,9 @@ from winshift import (
     make_substitution,
 )
 from winshift import cli
+from winshift.cli import compress, compress_groups
 from winshift.shift import irreducible_groups
-from winshift.tm_reference import WILDCARD, compress, compress_groups, expand_pattern
+from winshift.tm_reference import WILDCARD, expand_pattern
 
 MAX_N = 60
 # brute force grows about cubically in n; past this length only the level
