@@ -223,13 +223,18 @@ def winning_set(X) -> WinningSet:
     target = _as_target(X)
     if not target:
         return WinningSet(0, ())
-    n = _target_length(target)
-    members = _members(target)
-    if len(members) != len(target):
+    return WinningSet(_target_length(target), _antichain(_checked_automaton(target)))
+
+
+def _checked_automaton(target: frozenset[Word]) -> _Automaton:
+    """The solved automaton, once its root wins exactly |X| sequences."""
+    automaton = _automaton(target)
+    size = len(automaton.wins[automaton.root])
+    if size != len(target):
         raise InternalConsistencyError(
-            f"winning set size {len(members)} differs from target size {len(target)}"
+            f"winning set size {size} differs from target size {len(target)}"
         )
-    return WinningSet(n, _antichain(_automaton(target)))
+    return automaton
 
 
 @_collector_paused
@@ -259,12 +264,8 @@ def _antichain(automaton: _Automaton) -> tuple[ChoiceSequence, ...]:
 def winning_set_cardinality(X) -> int:
     """Size of the winning set; always equals the target size."""
     target = _as_target(X)
-    size = len(_members(target))
-    if size != len(target):
-        raise InternalConsistencyError(
-            f"winning set size {size} differs from target size {len(target)}"
-        )
-    return size
+    _checked_automaton(target)
+    return len(target)
 
 
 def max_first_choice(X, u, alphabet_size: int | None = None) -> tuple[int, tuple[int, ...]]:
@@ -283,6 +284,18 @@ def max_first_choice(X, u, alphabet_size: int | None = None) -> tuple[int, tuple
     kids = dict(automaton.delta[automaton.root])
     winners = tuple(c for c in range(size) if suffix in automaton.wins[kids.get(c, _DEAD)])
     return len(winners), winners
+
+
+def suffix_first_letters(X) -> dict[ChoiceSequence, tuple[int, ...]]:
+    """Each suffix u with some k.u winning -> the letters c, ascending, whose
+    quotient game after c wins u: :func:`max_first_choice` for every suffix
+    at once, read off the root's children."""
+    automaton = _automaton(_as_target(X))
+    letters: dict[int, list[int]] = {}
+    for c, child in automaton.delta[automaton.root]:
+        for beta in automaton.wins[child]:
+            letters.setdefault(beta, []).append(c)
+    return {automaton.spell(beta): tuple(cs) for beta, cs in letters.items()}
 
 
 @dataclass

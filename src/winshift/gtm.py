@@ -11,6 +11,7 @@ shift, and the first difference and complexity functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
 from .complexity import ComplexityTable
@@ -188,12 +189,4 @@ def gtm_complexity_table(b: int, m: int, upto: int) -> ComplexityTable:
     if upto < 0:
         raise PreconditionError("table bound must be nonnegative")
     deltas = tuple(gtm_delta(b, m, n) for n in range(upto + 1))
-    values = []
-    total = 0
-    for d in deltas:
-        total += d
-        values.append(total)
-    for n, f in enumerate(values):
-        if n and f != gtm_complexity(b, m, n):
-            raise InternalConsistencyError("summed differences disagree with the closed form")
-    return ComplexityTable(upto, deltas, tuple(values), ("closed_form",) * (upto + 1))
+    return ComplexityTable(upto, deltas, tuple(accumulate(deltas)), ("closed_form",) * (upto + 1))

@@ -7,9 +7,9 @@ enumerates winning shifts level by level from brute-forced base levels,
 transports strategy trees forward (image substitution) and backward
 (desubstitution), and checks the structural form of long sequences.
 
-A length is held as its suffix groups (suffix u -> largest first letter),
-brute-forced or extended, and one expansion spells them out.  Every head
-game is solved once per substitution.  Transport follows the short plays
+A length is held as its suffix groups (suffix u -> first letters), read
+off the solved game or extended, and one expansion spells them out.  Every
+head game is solved once per substitution.  Transport follows the short plays
 consistent with the word built so far instead of rescanning the tree.
 """
 
@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 
 from .errors import InternalConsistencyError, PreconditionError
 from .game import (
     StrategyTree,
-    max_first_choice,
     member,
     strategy_choice_sequence,
     strategy_plays,
+    suffix_first_letters,
     winning_members,
 )
 from .recognizability import decomposition, sync_delay
@@ -61,15 +61,15 @@ def extension_plan(target_length: int, block_length: int) -> ExtensionPlan:
 class LevelData:
     """Irreducible winning sequences of one length, keyed by suffix.
 
-    ``entries`` maps each irreducible suffix u (length n - 1) to
-    ``(k, first_choices)``: k is the largest first letter with k.u
-    winning, and first_choices is the unique set of letters every
-    winning strategy must open with.  The sequences of the level are
-    t.u for 1 <= t <= k.
+    ``entries`` maps each irreducible suffix u (length n - 1) to its first
+    letters: the letters c, ascending, whose quotient game after c wins u,
+    which every winning strategy for k.u must open with.  Their number k
+    is the largest first letter with k.u winning, and the sequences of the
+    level are t.u for 1 <= t <= k.
     """
 
     n: int
-    entries: dict[ChoiceSequence, tuple[int, tuple[int, ...]]]
+    entries: dict[ChoiceSequence, tuple[int, ...]]
     source: str
 
 
@@ -77,25 +77,18 @@ def _delay(subst: Substitution) -> int:
     return sync_delay(subst).delay
 
 
-def _suffix_target(subst: Substitution, first_choices, head: int) -> frozenset[Word]:
-    return frozenset(subst.image(c)[len(subst.image(c)) - head:] for c in first_choices)
+def _suffix_target(subst: Substitution, first_letters, head: int) -> frozenset[Word]:
+    return frozenset(subst.image(c)[len(subst.image(c)) - head:] for c in first_letters)
 
 
 @lru_cache(maxsize=None)
 def _head_groups(
-    subst: Substitution, first_choices, head: int
-) -> dict[ChoiceSequence, tuple[int, tuple[int, ...]]]:
-    # Group winning head sequences by everything after their first letter;
-    # each group carries its own maximal first letter and first-choice set.
-    # The game depends on the key alone, so each one is solved once (at most
-    # 2^s * M keys per substitution); callers must not mutate the result.
-    target = _suffix_target(subst, first_choices, head)
-    groups: dict[ChoiceSequence, tuple[int, tuple[int, ...]]] = {}
-    for word in winning_members(target):
-        tail = word[1:]
-        if tail not in groups:
-            groups[tail] = max_first_choice(target, tail, alphabet_size=subst.size)
-    return groups
+    subst: Substitution, first_letters, head: int
+) -> dict[ChoiceSequence, tuple[int, ...]]:
+    """``suffix_first_letters`` of the head game on the image suffixes of
+    ``first_letters``: solved once per key (at most 2^s * M keys per
+    substitution), so callers must not mutate the result."""
+    return suffix_first_letters(_suffix_target(subst, first_letters, head))
 
 
 @lru_cache(maxsize=None)
@@ -104,22 +97,21 @@ def _level(subst: Substitution, n: int) -> LevelData:
         raise PreconditionError("level data starts at length 2")
     # length 2 is its own extension base, so it must be solved directly
     if n <= max(_delay(subst), 2):
-        return _brute_level(subst, n)
+        return LevelData(n, _brute_groups(subst, n), "brute")
     plan = extension_plan(n, subst.uniform_length)
     base = _level(subst, plan.base_length)
     entries = _extend_entries(subst, base, plan.head_length)
     return LevelData(n, entries, "substitutive")
 
 
-def _brute_groups(subst: Substitution, n: int) -> dict[ChoiceSequence, int]:
-    """Suffix -> largest first letter over the irreducible winning sequences
-    of length ``n``, from one pass over the solved winning set."""
-    groups: dict[ChoiceSequence, int] = {}
-    for alpha in winning_members(language(subst, n).word_set):
-        suffix = alpha[1:]
-        if is_irreducible(alpha) and groups.get(suffix, 0) < alpha[0]:
-            groups[suffix] = alpha[0]
-    return groups
+def _brute_groups(subst: Substitution, n: int) -> dict[ChoiceSequence, tuple[int, ...]]:
+    """Suffix -> first letters of the irreducible winning sequences of length
+    ``n``: the last letter is above 1, or at length 1 two letters are won."""
+    return {
+        suffix: letters
+        for suffix, letters in suffix_first_letters(language(subst, n).word_set).items()
+        if (suffix[-1] > 1 if suffix else len(letters) > 1)
+    }
 
 
 def _expand(groups: dict[ChoiceSequence, int]) -> frozenset[ChoiceSequence]:
@@ -130,29 +122,18 @@ def _expand(groups: dict[ChoiceSequence, int]) -> frozenset[ChoiceSequence]:
     )
 
 
-def _brute_level(subst: Substitution, n: int) -> LevelData:
-    target = language(subst, n).word_set
-    entries: dict[ChoiceSequence, tuple[int, tuple[int, ...]]] = {}
-    for suffix, k in _brute_groups(subst, n).items():
-        count, first_choices = max_first_choice(target, suffix, alphabet_size=subst.size)
-        if count != k:
-            raise InternalConsistencyError("first-choice count disagrees with the winning set")
-        entries[suffix] = (k, first_choices)
-    return LevelData(n, entries, "brute")
-
-
 def _extend_entries(
     subst: Substitution, level: LevelData, head: int
-) -> dict[ChoiceSequence, tuple[int, tuple[int, ...]]]:
+) -> dict[ChoiceSequence, tuple[int, ...]]:
     M = subst.uniform_length
-    out: dict[ChoiceSequence, tuple[int, tuple[int, ...]]] = {}
-    for suffix, (k, first_choices) in level.entries.items():
+    out: dict[ChoiceSequence, tuple[int, ...]] = {}
+    for suffix, first_letters in level.entries.items():
         # stretch(suffix[:-1], M) + (suffix[-1],) in one slice assignment
         body = [1] * ((len(suffix) - 1) * M + 1)
         body[::M] = suffix
         tail = tuple(body)
-        for group_tail, entry in _head_groups(subst, first_choices, head).items():
-            out[group_tail + tail] = entry
+        for group_tail, letters in _head_groups(subst, first_letters, head).items():
+            out[group_tail + tail] = letters
     return out
 
 
@@ -161,7 +142,7 @@ def extend_level(subst: Substitution, level: LevelData, head_length: int) -> fro
     M = subst.require("level extension", "uniform", "marked")
     if not 1 <= head_length <= M:
         raise PreconditionError(f"head length must lie in 1..{M}")
-    return _expand({u: k for u, (k, _) in _extend_entries(subst, level, head_length).items()})
+    return _expand({u: len(cs) for u, cs in _extend_entries(subst, level, head_length).items()})
 
 
 def level_data(subst: Substitution, n: int) -> LevelData:
@@ -194,9 +175,9 @@ def irreducible_groups(
     winning sets are downward closed.  ``method`` picks the path as in
     :func:`enumerate_irreducible`, whose result the groups expand to.
     """
-    if _from_levels(subst, n, method):
-        return {suffix: k for suffix, (k, _) in _level(subst, n).entries.items()}
-    return _brute_groups(subst, n)
+    from_levels = _from_levels(subst, n, method)
+    groups = _level(subst, n).entries if from_levels else _brute_groups(subst, n)
+    return {suffix: len(letters) for suffix, letters in groups.items()}
 
 
 def _from_levels(subst: Substitution, n: int, method: str) -> bool:
@@ -312,7 +293,7 @@ def substitute_strategy(
         level = [child for node in level for child in node.children.values()]
     # blocks at one depth share a length, so the product comes out sorted by beta
     return [
-        (sum(blocks, ()), _substituted_tree(subst, tree, target, blocks))
+        (tuple(chain.from_iterable(blocks)), _substituted_tree(subst, tree, target, blocks))
         for blocks in product(*(sorted(choice) for choice in block_choices))
     ]
 
@@ -325,12 +306,18 @@ def _substituted_tree(subst: Substitution, short: StrategyTree, target, blocks) 
     # node, which keeps output canonical.
     M = subst.uniform_length
     last = len(blocks) - 1
+    # a block game depends on the offer, whether the phase is first or last,
+    # and the block, so each is solved once per transport (trees are only read)
+    strategies: dict[tuple, StrategyTree] = {}
 
     def block_strategy(phase: int, node: StrategyTree) -> StrategyTree:
-        outcome = member(target(node.offer, phase), blocks[phase], alphabet_size=subst.size)
-        if not outcome.win:
-            raise InternalConsistencyError("block sequence lost a block game")
-        return outcome.strategy
+        key = (node.offer, phase == 0, phase == last, blocks[phase])
+        if key not in strategies:
+            outcome = member(target(node.offer, phase), blocks[phase], alphabet_size=subst.size)
+            if not outcome.win:
+                raise InternalConsistencyError("block sequence lost a block game")
+            strategies[key] = outcome.strategy
+        return strategies[key]
 
     def settle(phase: int, plays, block: Word, node: StrategyTree):
         # cross finished blocks up to the next branching node, or None at the end

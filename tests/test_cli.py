@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from winshift import SyncDelay
@@ -195,20 +196,25 @@ def test_verify_check_that_raises_is_a_failed_row(capsys, monkeypatch):
     import winshift.game as game
     from winshift.errors import InternalConsistencyError
 
-    solved = game._members
+    solved = game._automaton
 
     def one_short(target):
-        # the solver loses one winning sequence of length 3
-        members = solved(target)
-        return frozenset(sorted(members)[1:]) if len(next(iter(target))) == 3 else members
+        # the solver loses one winning sequence of length 3 at the root
+        automaton = solved(target)
+        if len(next(iter(target))) != 3:
+            return automaton
+        wins = list(automaton.wins)
+        wins[automaton.root] -= {automaton.suffix_ids((1, 1, 1))[0]}
+        return replace(automaton, wins=tuple(wins))
 
-    monkeypatch.setattr(game, "_members", one_short)
+    monkeypatch.setattr(game, "_automaton", one_short)
     try:
         code, out = run(capsys, "verify", "--subst", "tm", "--depth", "5")
     finally:
         # nothing built from the short sets may outlive the patch
         cli.shift._level.cache_clear()
         cli.shift._head_groups.cache_clear()
+        game._members.cache_clear()
     lines = out.splitlines()
     assert code == 3
     assert "FAIL    cardinality: winning set size 5 differs from target size 6" in lines
@@ -218,7 +224,7 @@ def test_verify_check_that_raises_is_a_failed_row(capsys, monkeypatch):
     def broken(subst, alpha):
         raise InternalConsistencyError("body length must be a block multiple")
 
-    monkeypatch.setattr(game, "_members", solved)
+    monkeypatch.setattr(game, "_automaton", solved)
     monkeypatch.setattr(cli.shift, "verify_form", broken)
     code, out = run(capsys, "verify", "--subst", "ex42", "--depth", "5")
     lines = out.splitlines()

@@ -1,8 +1,10 @@
 import gc
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
+from conftest import random_marked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from winshift import (
     winning_set,
     winning_set_cardinality,
 )
+from winshift.game import suffix_first_letters
 from winshift.words import Word, le
 
 
@@ -147,6 +150,36 @@ def test_max_first_choice(tm, gtm23):
     )
 
 
+def test_suffix_first_letters_is_max_first_choice_on_every_suffix(tm, ex42, ex46, gtm23):
+    for subst in (tm, ex42, ex46, gtm23, *random_marked(6, seed=20171)):
+        for n in range(1, 11):
+            X = language(subst, n).words
+            groups = suffix_first_letters(X)
+            for u in product(range(1, subst.size + 1), repeat=n - 1):
+                k, letters = max_first_choice(X, u, alphabet_size=subst.size)
+                # suffixes no first letter wins are left out
+                assert groups.get(u, ()) == letters, (subst.images, u)
+                assert k == len(letters)
+
+
+def test_winning_set_spells_only_the_maximal_sequences(tm, monkeypatch):
+    import winshift.game as game
+
+    spelled = []
+    spell = game._Automaton.spell
+
+    def counted(automaton, i):
+        spelled.append(i)
+        return spell(automaton, i)
+
+    monkeypatch.setattr(game._Automaton, "spell", counted)
+    X = language(tm, 12).words
+    assert winning_set_cardinality(X) == len(X)
+    assert spelled == []
+    maximal = winning_set(X).maximal
+    assert len(spelled) == len(maximal) < len(X)
+
+
 def test_cardinality_on_languages(tm, ex42, ex46, gtm23, gtm33):
     for subst in (tm, ex42, ex46, gtm23, gtm33):
         for n in range(1, 9):
@@ -216,7 +249,15 @@ def test_member_agrees_with_winning_set(case, raw):
 def test_cardinality_mismatch_is_internal_error(monkeypatch):
     import winshift.game as game
 
-    monkeypatch.setattr(game, "_members", lambda target: frozenset())
+    solved = game._automaton
+
+    def no_root_wins(target):
+        automaton = solved(target)
+        wins = list(automaton.wins)
+        wins[automaton.root] = frozenset()
+        return replace(automaton, wins=tuple(wins))
+
+    monkeypatch.setattr(game, "_automaton", no_root_wins)
     with pytest.raises(InternalConsistencyError):
         game.winning_set_cardinality(frozenset({(0,)}))
 

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from conftest import random_marked
 
 from winshift import (
     PreconditionError,
@@ -54,8 +55,8 @@ def test_brute_level_entries_tm(tm):
     level = level_data(tm, 4)
     assert level.source == "brute"
     assert level.entries == {
-        (1, 1, 2): (2, (0, 1)),
-        (2, 1, 2): (2, (0, 1)),
+        (1, 1, 2): (0, 1),
+        (2, 1, 2): (0, 1),
     }
 
 
@@ -98,7 +99,7 @@ def test_enumerate_named_rows(tm, ex42):
 
 
 def test_substitutive_equals_brute_past_delay(tm, gtm23, gtm33, marked_nonpermutive):
-    for subst in (tm, gtm23, gtm33, marked_nonpermutive):
+    for subst in (tm, gtm23, gtm33, marked_nonpermutive, *random_marked(6, seed=20171)):
         delay = sync_delay(subst).delay
         M = subst.uniform_length
         for n in range(delay + 1, delay + 2 * M + 1):
@@ -151,9 +152,7 @@ def test_head_words_closed_form_matches_solver(tm, gtm33, gtm42, marked_nonpermu
                 assert winning_members(target) == head_words_closed_form(size, head)
                 # one group t 1^(head-1), with the letters at image position M - head next
                 next_choices = tuple(sorted(subst.image(c)[M - head] for c in chosen))
-                assert _head_groups(subst, chosen, head) == {
-                    (1,) * (head - 1): (size, next_choices)
-                }
+                assert _head_groups(subst, chosen, head) == {(1,) * (head - 1): next_choices}
     # the closed form is specific to permutive substitutions
     target = _suffix_target(marked_nonpermutive, (0, 1, 2), 2)
     assert winning_members(target) != head_words_closed_form(3, 2)
@@ -413,6 +412,28 @@ def test_transport_of_a_long_strategy_does_not_recurse_per_letter(tm):
             assert strategy_choice_sequence(back) == (beta[0],) + beta[2::2]
             assert validate_strategy(back, language(tm, 200).words)
     assert irreducible == 2
+
+
+def test_transport_solves_each_block_game_once(tm, monkeypatch):
+    import winshift.shift as shift
+
+    tree = member(language(tm, 200).words, (2,) + (1,) * 198 + (2,)).strategy
+    for _ in range(3):
+        beta, tree = next((b, t) for b, t in substitute_strategy(tm, tree, 2, 1) if b[-1] != 1)
+    assert len(beta) == 1593
+    calls = []
+
+    def counted(X, alpha, alphabet_size=None):
+        calls.append(alpha)
+        return member(X, alpha, alphabet_size)
+
+    monkeypatch.setattr(shift, "member", counted)
+    produced = substitute_strategy(tm, tree, 2, 1)
+    # one block game per (offer, first or last phase, block), not one per
+    # long round: 3185 rounds ask at most 8
+    assert 0 < len(calls) <= 8
+    assert len(produced) == 2
+    assert all(strategy_choice_sequence(t) == b for b, t in produced)
 
 
 def reference_desubstitute_strategy(subst, tree):
