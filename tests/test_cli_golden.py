@@ -151,6 +151,12 @@ OTHERS = (
     "syncdelay --subst {fib}",
     "winshift --subst {fib} --length 6",
     "complexity --subst {fib} --upto 6",
+    # long rows spelled from deep base chains: digits, and commas above 9 letters
+    "winshift --subst {marked} --table 201..800",
+    "winshift --subst tm --table 1..1000",
+    "winshift --subst gtm:2,11 --table 1..300",
+    "winshift --subst gtm:2,11 --length 5000 --format json",
+    "winshift --subst {perm4} --length 30000",
 )
 
 
