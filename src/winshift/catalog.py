@@ -58,7 +58,8 @@ def substitution_from_dict(obj) -> Substitution:
         images = obj["images"]
     except KeyError as exc:
         raise ConstructionError(f"substitution description misses key {exc}") from exc
-    if not isinstance(alphabet, int):
+    # JSON true is a bool, and bool is an int in Python
+    if not isinstance(alphabet, int) or isinstance(alphabet, bool):
         raise ConstructionError("alphabet size must be an integer")
     if not isinstance(images, list) or not all(isinstance(img, list) for img in images):
         raise ConstructionError("images must be a list of letter lists")
@@ -76,9 +77,11 @@ def substitution_to_dict(subst: Substitution, name: str | None = None) -> dict:
 def load_substitution(path: str | Path) -> tuple[Substitution, str | None]:
     """Read a substitution JSON file; returns the substitution and its name."""
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise PreconditionError(f"cannot read substitution file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConstructionError(f"substitution file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConstructionError(f"invalid JSON in {path}: {exc}") from exc
     subst = substitution_from_dict(obj)

@@ -150,13 +150,35 @@ def cmd_winset(args) -> int:
     return 0
 
 
-def _winshift_groups(subst: Substitution, n: int, method: str) -> dict:
-    """The irreducible sequences of length n as suffix -> range of first letters."""
+def _text_spelling(m: int):
+    """``spell_suffixes`` spellers for the text of :func:`format_choices`, each
+    letter with the separator before it: none up to 9 letters, a comma above."""
+    if m <= 9:
+        def stretch(text: str, M: int) -> str:
+            body = bytearray(b"1") * ((len(text) - 1) * M + 1)
+            body[::M] = text.encode()
+            return body.decode()
+
+        return lambda g: format_word(g, m), stretch
+
+    def stretch_listed(text: str, M: int) -> str:
+        # ",a,b" -> ",a,1,..,1,b": every comma but the first gains M - 1 ones
+        sep = ",1" * (M - 1) + ","
+        return text.replace(",", sep)[len(sep) - 1:]
+
+    return lambda g: "".join(f",{c}" for c in g), stretch_listed
+
+
+def _level_rows(subst: Substitution, n: int, method: str, spelled: dict | None = None) -> list:
+    """The irreducible sequences of length n as (suffix text, range of first
+    letters), in suffix order; ``spelled`` carries spelled levels between lengths."""
+    level = shift.irreducible_level(subst, n, method)
+    tails = shift.spell_suffixes(level, *_text_spelling(subst.size), spelled)
     # at length 1 the first letter is also the last, so 1 is reducible
-    return {
-        suffix: range(1 if suffix else 2, k + 1)
-        for suffix, k in shift.irreducible_groups(subst, n, method).items()
-    }
+    start = 1 if n > 1 else 2
+    return [
+        (tail, range(start, len(letters) + 1)) for tail, (_, _, letters) in zip(tails, level.rows)
+    ]
 
 
 def compress(sequences, m: int) -> tuple[str, ...]:
@@ -170,34 +192,33 @@ def compress(sequences, m: int) -> tuple[str, ...]:
     groups: dict[ChoiceSequence, set[int]] = {}
     for seq in sequences:
         groups.setdefault(tuple(seq[1:]), set()).add(seq[0])
-    return compress_groups(groups, m)
+    # each suffix spelled with its leading separator, if any
+    tails = [
+        (format_choices((0,) + suffix, m)[1:], sorted(firsts))
+        for suffix, firsts in sorted(groups.items())
+    ]
+    return tuple(_format_rows(tails, m))
 
 
-def compress_groups(groups, m: int) -> tuple[str, ...]:
-    """The rows of :func:`compress` from a map suffix -> its first letters."""
+def _format_rows(groups, m: int) -> list[str]:
+    """The rows of :func:`compress` from (suffix text, ascending first letters)
+    pairs in suffix order."""
     rows: list[str] = []
-    for suffix in sorted(groups):
-        firsts = sorted(groups[suffix])
-        # At length 1 the first letter is also the last, so 1 is reducible
-        # and a wildcard row can only ever cover 2..m.
-        covered = range(1 if suffix else 2, m + 1)
-        # the suffix with its leading separator, if any; formatted once
-        tail = format_choices((0,) + suffix, m)[1:]
-        if firsts == list(covered):
+    for tail, firsts in groups:
+        # At length 1 (no tail) the first letter is also the last, so 1 is
+        # reducible and a wildcard row can only ever cover 2..m.
+        if list(firsts) == list(range(1 if tail else 2, m + 1)):
             rows.append(WILDCARD + tail)
         else:
             rows.extend(f"{first}{tail}" for first in firsts)
-    return tuple(rows)
+    return rows
 
 
-def _spell_sorted(groups: dict, m: int) -> list[str]:
-    """Every sequence of ``groups`` spelled, in sorted order: first letter, then suffix."""
-    tails = [
-        (firsts, format_choices((0,) + suffix, m)[1:])
-        for suffix, firsts in sorted(groups.items())
-    ]
-    top = max((firsts[-1] for firsts, _ in tails if firsts), default=0)
-    return [f"{t}{tail}" for t in range(1, top + 1) for firsts, tail in tails if t in firsts]
+def _spell_sorted(groups) -> list[str]:
+    """Every sequence of the (suffix text, range of first letters) pairs
+    spelled, in sorted order: first letter, then suffix."""
+    top = max((firsts[-1] for _, firsts in groups if firsts), default=0)
+    return [f"{t}{tail}" for t in range(1, top + 1) for tail, firsts in groups if t in firsts]
 
 
 def cmd_winshift(args) -> int:
@@ -205,19 +226,20 @@ def cmd_winshift(args) -> int:
     m = subst.size
     if args.table:
         low, high = args.table
-        # every row is built before any is written: a failing length leaves
-        # stdout empty
+        # each base level is spelled once for the whole table; every row is
+        # built before any is written, so a failing length leaves stdout empty
+        spelled: dict = {}
         _emit_lines([
             f"{n}: {row}"
             for n in range(low, high + 1)
-            for row in compress_groups(_winshift_groups(subst, n, args.method), m)
+            for row in _format_rows(_level_rows(subst, n, args.method, spelled), m)
         ])
         return 0
-    groups = _winshift_groups(subst, args.length, args.method)
+    groups = _level_rows(subst, args.length, args.method)
     if args.format == "text":
-        _emit_lines(compress_groups(groups, m))
+        _emit_lines(_format_rows(groups, m))
         return 0
-    ordered = _spell_sorted(groups, m)
+    ordered = _spell_sorted(groups)
     if args.format == "json":
         _emit(
             _json(

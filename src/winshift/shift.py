@@ -7,10 +7,19 @@ enumerates winning shifts level by level from brute-forced base levels,
 transports strategy trees forward (image substitution) and backward
 (desubstitution), and checks the structural form of long sequences.
 
-A length is held as its suffix groups (suffix u -> first letters), read
-off the solved game or extended, and one expansion spells them out.  Every
-head game is solved once per substitution.  Transport follows the short plays
-consistent with the word built so far instead of rescanning the tree.
+A length n is held as rows (g, j, first letters), one per irreducible
+suffix u, sorted by u (see :class:`LevelData`).  A brute level, read off
+the solved game, has g = u.  Past the delay a level is the paper's
+substitutive form over its base level of length (n - 2) // M + 2: u is a
+winning head tail g of length h - 1 followed by the suffix of base row j,
+stretched.  Sorting on (g, j) is sorting on u, because every g has the
+same length and stretching keeps the order of equal-length sequences.  So
+a level is built from its base in O(rows), stores no suffix longer than
+M - 1 letters, and :func:`spell_suffixes` spells a whole chain of base
+levels on demand, as tuples for the library or as text for the CLI.
+Every head game is solved once per substitution.  Transport follows the
+short plays consistent with the word built so far instead of rescanning
+the tree.
 """
 
 from __future__ import annotations
@@ -57,20 +66,92 @@ def extension_plan(target_length: int, block_length: int) -> ExtensionPlan:
     return ExtensionPlan(target_length, head, base)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LevelData:
-    """Irreducible winning sequences of one length, keyed by suffix.
+    """The irreducible winning sequences of one length n, as rows over a base level.
 
-    ``entries`` maps each irreducible suffix u (length n - 1) to its first
-    letters: the letters c, ascending, whose quotient game after c wins u,
-    which every winning strategy for k.u must open with.  Their number k
-    is the largest first letter with k.u winning, and the sequences of the
-    level are t.u for 1 <= t <= k.
+    Each row ``(g, j, first_letters)`` stands for one irreducible suffix u
+    of length n - 1.  A brute level has no ``base``: g is u itself and j
+    is None.  A substitutive level keeps the paper's form
+    u = g + stretch(v[:-1], M) + (v[-1],), where v is the suffix of row j
+    of ``base`` (the level of length (n - 2) // M + 2, with M the
+    ``block_length``) and g is a winning head tail of length h - 1, h the
+    head length of :func:`extension_plan`.  So a level costs O(rows)
+    memory whatever n is, and :func:`spell_suffixes` spells it on demand.
+
+    The first letters are the letters c, ascending, whose quotient game
+    after c wins u, which every winning strategy for k.u must open with.
+    Their number k is the largest first letter with k.u winning, and the
+    sequences of the level are t.u for 1 <= t <= k.
+
+    Rows are sorted by suffix.  On a substitutive level that is the order
+    of (g, j): every g has the same length h - 1, the base rows are sorted
+    by suffix, and stretching keeps the order of equal-length sequences
+    (the first difference of v and v' moves to the same place in both).
     """
 
     n: int
-    entries: dict[ChoiceSequence, tuple[int, ...]]
-    source: str
+    rows: tuple[tuple[ChoiceSequence, int | None, tuple[int, ...]], ...]
+    base: LevelData | None = None
+    block_length: int | None = None
+
+    @property
+    def source(self) -> str:
+        return "brute" if self.base is None else "substitutive"
+
+    @property
+    def entries(self) -> dict[ChoiceSequence, tuple[int, ...]]:
+        """Suffix -> first letters, spelled afresh on every access."""
+        return dict(zip(_tuple_suffixes(self), (letters for _, _, letters in self.rows)))
+
+
+def spell_suffixes(level: LevelData, spell, stretch, spelled: dict | None = None) -> list:
+    """The suffixes of ``level``'s rows, in row order.
+
+    ``spell(g)`` spells a tuple of letters (a head tail, or a whole suffix
+    of a brute level) and ``stretch(v, M)`` spells stretch(u[:-1], M) +
+    (u[-1],) from the spelling v of u; spellings join with ``+``.  Each
+    base suffix is stretched once however many rows share it.
+    ``spelled`` maps levels to their spelled suffixes and gains every
+    level spelled here, so a caller spelling many lengths spells each base
+    level once.
+    """
+    if spelled is None:
+        spelled = {}
+    if level in spelled:
+        return spelled[level]
+    if level.base is None:
+        out = [spell(g) for g, _, _ in level.rows]
+    else:
+        below = spell_suffixes(level.base, spell, stretch, spelled)
+        stretched: dict[int, object] = {}
+        out = []
+        head_of = None
+        for g, j, _ in level.rows:
+            if g != head_of:
+                # rows come sorted by g, so each head tail is spelled once
+                head_of, head = g, spell(g)
+            if j not in stretched:
+                stretched[j] = stretch(below[j], level.block_length)
+            out.append(head + stretched[j])
+    spelled[level] = out
+    return out
+
+
+def _stretch(u: ChoiceSequence, M: int) -> ChoiceSequence:
+    """stretch(u[:-1], M) + (u[-1],) in one slice assignment."""
+    body = [1] * ((len(u) - 1) * M + 1)
+    body[::M] = u
+    return tuple(body)
+
+
+def _tuple_suffixes(level: LevelData) -> list[ChoiceSequence]:
+    return spell_suffixes(level, tuple, _stretch)
+
+
+def _groups(level: LevelData) -> dict[ChoiceSequence, int]:
+    """Suffix -> largest first letter of every row of ``level``."""
+    return dict(zip(_tuple_suffixes(level), (len(letters) for _, _, letters in level.rows)))
 
 
 def _delay(subst: Substitution) -> int:
@@ -97,21 +178,33 @@ def _level(subst: Substitution, n: int) -> LevelData:
         raise PreconditionError("level data starts at length 2")
     # length 2 is its own extension base, so it must be solved directly
     if n <= max(_delay(subst), 2):
-        return LevelData(n, _brute_groups(subst, n), "brute")
+        return _brute_level(subst, n)
     plan = extension_plan(n, subst.uniform_length)
-    base = _level(subst, plan.base_length)
-    entries = _extend_entries(subst, base, plan.head_length)
-    return LevelData(n, entries, "substitutive")
+    return _extended(subst, _level(subst, plan.base_length), plan.head_length)
 
 
-def _brute_groups(subst: Substitution, n: int) -> dict[ChoiceSequence, tuple[int, ...]]:
-    """Suffix -> first letters of the irreducible winning sequences of length
-    ``n``: the last letter is above 1, or at length 1 two letters are won."""
-    return {
-        suffix: letters
-        for suffix, letters in suffix_first_letters(language(subst, n).word_set).items()
+def _brute_level(subst: Substitution, n: int) -> LevelData:
+    """The irreducible winning sequences of length ``n`` read off the solved
+    game: the last letter is above 1, or at length 1 two letters are won."""
+    groups = suffix_first_letters(language(subst, n).word_set)
+    rows = tuple(
+        (suffix, None, letters)
+        for suffix, letters in sorted(groups.items())
         if (suffix[-1] > 1 if suffix else len(letters) > 1)
-    }
+    )
+    return LevelData(n, rows)
+
+
+def _extended(subst: Substitution, base: LevelData, head: int) -> LevelData:
+    """The level of length head + (base.n - 2) * M + 1: every winning head
+    tail g of a base row's first letters, over that row, in (g, j) order."""
+    by_head: dict[ChoiceSequence, list] = {}
+    for j, (_, _, first_letters) in enumerate(base.rows):
+        for g, letters in _head_groups(subst, first_letters, head).items():
+            by_head.setdefault(g, []).append((g, j, letters))
+    M = subst.uniform_length
+    rows = tuple(chain.from_iterable(by_head[g] for g in sorted(by_head)))
+    return LevelData(head + (base.n - 2) * M + 1, rows, base, M)
 
 
 def _expand(groups: dict[ChoiceSequence, int]) -> frozenset[ChoiceSequence]:
@@ -122,31 +215,16 @@ def _expand(groups: dict[ChoiceSequence, int]) -> frozenset[ChoiceSequence]:
     )
 
 
-def _extend_entries(
-    subst: Substitution, level: LevelData, head: int
-) -> dict[ChoiceSequence, tuple[int, ...]]:
-    M = subst.uniform_length
-    out: dict[ChoiceSequence, tuple[int, ...]] = {}
-    for suffix, first_letters in level.entries.items():
-        # stretch(suffix[:-1], M) + (suffix[-1],) in one slice assignment
-        body = [1] * ((len(suffix) - 1) * M + 1)
-        body[::M] = suffix
-        tail = tuple(body)
-        for group_tail, letters in _head_groups(subst, first_letters, head).items():
-            out[group_tail + tail] = letters
-    return out
-
-
 def extend_level(subst: Substitution, level: LevelData, head_length: int) -> frozenset[ChoiceSequence]:
     """All irreducible sequences of length head + (n - 2) * M + 1 from one level."""
     M = subst.require("level extension", "uniform", "marked")
     if not 1 <= head_length <= M:
         raise PreconditionError(f"head length must lie in 1..{M}")
-    return _expand({u: len(cs) for u, cs in _extend_entries(subst, level, head_length).items()})
+    return _expand(_groups(_extended(subst, level, head_length)))
 
 
 def level_data(subst: Substitution, n: int) -> LevelData:
-    """Suffix-keyed description of the irreducible sequences of one length."""
+    """Rows of the irreducible sequences of one length, over their base level."""
     subst.require("level data", "uniform", "marked")
     return _level(subst, n)
 
@@ -175,9 +253,13 @@ def irreducible_groups(
     winning sets are downward closed.  ``method`` picks the path as in
     :func:`enumerate_irreducible`, whose result the groups expand to.
     """
-    from_levels = _from_levels(subst, n, method)
-    groups = _level(subst, n).entries if from_levels else _brute_groups(subst, n)
-    return {suffix: len(letters) for suffix, letters in groups.items()}
+    return _groups(irreducible_level(subst, n, method))
+
+
+def irreducible_level(subst: Substitution, n: int, method: str = "auto") -> LevelData:
+    """The rows of length ``n`` on the path ``method`` picks, as in
+    :func:`enumerate_irreducible`; a brute level off the level data."""
+    return _level(subst, n) if _from_levels(subst, n, method) else _brute_level(subst, n)
 
 
 def _from_levels(subst: Substitution, n: int, method: str) -> bool:

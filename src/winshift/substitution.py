@@ -31,7 +31,9 @@ class Substitution:
             if not isinstance(img, tuple) or not img:
                 raise ConstructionError("every image must be a nonempty tuple of letters")
             for a in img:
-                if not (isinstance(a, int) and 0 <= a < len(self.images)):
+                # JSON true is a bool, and bool is an int in Python
+                letter = isinstance(a, int) and not isinstance(a, bool)
+                if not (letter and 0 <= a < len(self.images)):
                     raise ConstructionError(
                         f"letter {a!r} outside alphabet 0..{len(self.images) - 1}"
                     )

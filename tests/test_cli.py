@@ -298,6 +298,29 @@ def test_gtm_word_negative_length_is_domain_error(capsys):
         assert captured.err == "error: prefix length must be nonnegative\n"
 
 
+def test_bad_substitution_files_are_construction_errors(capsys, tmp_path):
+    tm_text = json.dumps({"alphabet": 2, "images": [[0, 1], [1, 0]]})
+    cases = {
+        # a UTF-16 byte-order mark: not UTF-8 text
+        "bom.json": (b"\xff\xfe", "not UTF-8"),
+        # JSON true is no letter, although bool is an int in Python
+        "bool-letter.json": (tm_text.replace("[0, 1]", "[0, true]").encode(), "letter True"),
+        "bool-alphabet.json": (
+            tm_text.replace('"alphabet": 2', '"alphabet": true').encode(),
+            "alphabet size must be an integer",
+        ),
+    }
+    for name, (data, message) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        for argv in (["classify", "--subst", str(path)], ["winshift", "--subst", str(path), "--length", "3"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert message in captured.err
+
+
 def test_choice_letters_above_nine(capsys):
     # format_choices spells the one-letter sequence (10,) as "10"
     code, out = run(

@@ -60,6 +60,38 @@ def test_brute_level_entries_tm(tm):
     }
 
 
+def test_cached_level_data_cannot_be_changed(tm):
+    from dataclasses import FrozenInstanceError
+
+    from winshift import shift
+
+    try:
+        level = level_data(tm, 9)
+        level.entries.clear()
+        # the entries are a fresh view; the cached level and its extensions are intact
+        assert level.entries
+        assert enumerate_irreducible(tm, 9) == expand_row(9)
+        assert enumerate_irreducible(tm, 17) == expand_row(17)
+        with pytest.raises(FrozenInstanceError):
+            level.n = 10
+    finally:
+        shift._level.cache_clear()
+
+
+def test_substitutive_levels_store_only_head_tails(tm, gtm23, gtm33, marked_nonpermutive):
+    # a substitutive level keeps rows (head tail, base row, first letters):
+    # no suffix longer than M - 1 letters, and the rows in suffix order
+    for subst in (tm, gtm23, gtm33, marked_nonpermutive, PERM4, *random_marked(3, seed=20171)):
+        M, delay = subst.uniform_length, sync_delay(subst).delay
+        for n in range(delay + 1, 400):
+            level = level_data(subst, n)
+            assert level.source == "substitutive"
+            assert level.base.n == extension_plan(n, M).base_length
+            assert all(len(g) <= M - 1 for g, _, _ in level.rows)
+            assert all(0 <= j < len(level.base.rows) for _, j, _ in level.rows)
+            assert list(level.entries) == sorted(level.entries)
+
+
 def test_extend_level_reproduces_reference_rows(tm):
     level = level_data(tm, 4)
     # head 2 lands on length 7, head 1 on length 6; both reproduce the table

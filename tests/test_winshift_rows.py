@@ -1,10 +1,12 @@
-"""Winning-shift rows read from the suffix groups of the level data.
+"""Winning-shift rows spelled from the level rows.
 
-The CLI renders ``winshift`` output from ``irreducible_groups`` (suffix ->
-largest first letter) instead of expanding every sequence and regrouping
-it.  These tests hold the grouped path to the sequence path it replaced:
-``reference_compress`` is ``compress`` as it was written over the expanded
-sequences, and brute force is the independent check of the levels.
+The CLI renders ``winshift`` output by spelling each level's rows as text
+(``cli._level_rows``: each base level's text stretched, no tuple spelled)
+instead of expanding every sequence and regrouping it.  These tests hold
+that path to the sequence path it replaced: ``reference_compress`` is
+``compress`` as it was written over the expanded sequences, the tuple
+spelling of ``irreducible_groups`` is spelled again by ``format_choices``,
+and brute force is the independent check of the levels.
 """
 
 import pytest
@@ -18,11 +20,14 @@ from winshift import (
     make_substitution,
 )
 from winshift import cli
-from winshift.cli import compress, compress_groups
+from winshift.cli import compress
 from winshift.shift import irreducible_groups
 from winshift.tm_reference import WILDCARD, expand_pattern
 
 MAX_N = 60
+# the substitutive path on marked input runs further: its rows are spelled
+# through base chains several levels deep
+LONG_N = 200
 # brute force grows about cubically in n; past this length only the level
 # paths run, and they are checked against brute force below it
 BRUTE_N = 24
@@ -73,10 +78,14 @@ def expand(groups):
 def test_groups_and_rows_match_the_sequence_path(subst):
     m = subst.size
     methods = ["auto", "brute"]
-    if subst.uniform and subst.marked:
+    marked = subst.uniform and subst.marked
+    if marked:
         methods.append("substitutive")
     for method in methods:
-        for n in range(1, (BRUTE_N if method == "brute" else MAX_N) + 1):
+        top = BRUTE_N if method == "brute" else LONG_N if marked else MAX_N
+        # carried across lengths as the table does, so each base level is spelled once
+        spelled = {}
+        for n in range(1, top + 1):
             sequences = enumerate_irreducible(subst, n, method)
             groups = irreducible_groups(subst, n, method)
             assert expand(groups) == sequences
@@ -84,10 +93,15 @@ def test_groups_and_rows_match_the_sequence_path(subst):
             assert all(is_irreducible((k,) + suffix) for suffix, k in groups.items())
             reference = reference_compress(sequences, m)
             assert compress(sequences, m) == reference
-            firsts = cli._winshift_groups(subst, n, method)
-            assert compress_groups(firsts, m) == reference
+            rows = cli._level_rows(subst, n, method)
+            assert rows == [
+                (format_choices((0,) + suffix, m)[1:], range(1 if suffix else 2, k + 1))
+                for suffix, k in sorted(groups.items())
+            ]
+            assert cli._level_rows(subst, n, method, spelled) == rows
+            assert tuple(cli._format_rows(rows, m)) == reference
             ordered = [format_choices(seq, m) for seq in sorted(sequences)]
-            assert cli._spell_sorted(firsts, m) == ordered
+            assert cli._spell_sorted(rows) == ordered
             if method != "brute" and n <= BRUTE_N:
                 assert sequences == enumerate_irreducible(subst, n, "brute")
 
@@ -100,7 +114,6 @@ def test_compress_keeps_its_meaning_on_any_set():
     assert compress({(2,), (3,)}, 3) == ("◇",)
     assert compress({(3,)}, 3) == ("3",)
     assert compress(set(), 3) == ()
-    assert compress_groups({(2,): range(1, 3)}, 2) == ("◇2",)
 
 
 def test_rows_above_nine_letters_read_back():
