@@ -111,31 +111,22 @@ def spell_suffixes(level: LevelData, spell, stretch, spelled: dict | None = None
     ``spell(g)`` spells a tuple of letters (a head tail, or a whole suffix
     of a brute level) and ``stretch(v, M)`` spells stretch(u[:-1], M) +
     (u[-1],) from the spelling v of u; spellings join with ``+``.  Each
-    base suffix is stretched once however many rows share it.
+    base suffix is stretched once, however many rows share it (every base
+    row has one at least: the head tail of ones always wins).
     ``spelled`` maps levels to their spelled suffixes and gains every
     level spelled here, so a caller spelling many lengths spells each base
     level once.
     """
     if spelled is None:
         spelled = {}
-    if level in spelled:
-        return spelled[level]
-    if level.base is None:
-        out = [spell(g) for g, _, _ in level.rows]
-    else:
-        below = spell_suffixes(level.base, spell, stretch, spelled)
-        stretched: dict[int, object] = {}
-        out = []
-        head_of = None
-        for g, j, _ in level.rows:
-            if g != head_of:
-                # rows come sorted by g, so each head tail is spelled once
-                head_of, head = g, spell(g)
-            if j not in stretched:
-                stretched[j] = stretch(below[j], level.block_length)
-            out.append(head + stretched[j])
-    spelled[level] = out
-    return out
+    if level not in spelled:
+        if level.base is None:
+            spelled[level] = [spell(g) for g, _, _ in level.rows]
+        else:
+            below = spell_suffixes(level.base, spell, stretch, spelled)
+            tails = [stretch(v, level.block_length) for v in below]
+            spelled[level] = [spell(g) + tails[j] for g, j, _ in level.rows]
+    return spelled[level]
 
 
 def _stretch(u: ChoiceSequence, M: int) -> ChoiceSequence:
