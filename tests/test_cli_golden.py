@@ -6,7 +6,9 @@ domain errors may be reworded without touching the corpus.  ``{marked}`` is a
 marked three-letter substitution and ``{perm4}`` a permutive four-letter one,
 both written as JSON; ``{cycle3}`` is a marked periodic substitution that
 never synchronizes and ``{fib}`` the non-uniform Fibonacci substitution.
-``{dot}`` and ``{emit}`` are scratch output paths.
+``{dot}`` and ``{emit}`` are scratch output paths.  Every entry runs with
+``COLUMNS=80``, because argparse wraps help and usage text to the terminal
+width.
 
 Re-record after a deliberate output change with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -16,8 +18,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from winshift.cli import main
 
@@ -157,6 +161,19 @@ OTHERS = (
     "winshift --subst gtm:2,11 --table 1..300",
     "winshift --subst gtm:2,11 --length 5000 --format json",
     "winshift --subst {perm4} --length 30000",
+    # help of the top level, every command and every gtm command
+    "--help",
+    *(
+        f"{c} --help"
+        for c in (
+            "classify", "fixedpoint", "language", "syncdelay", "winset",
+            "winshift", "delta", "complexity", "gtm", "verify",
+        )
+    ),
+    *(
+        f"gtm --b 2 --m 3 {c} --help"
+        for c in ("word", "factors", "syncdelay", "winshift", "delta", "complexity")
+    ),
 )
 
 
@@ -178,7 +195,11 @@ def replay(command: str, tmp: Path) -> list:
         path.write_text(json.dumps(subst))
         paths[key] = str(path)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         code = main([word.format(**paths) for word in command.split()])
     kind = next((p for p in ("error:", "usage:") if err.getvalue().startswith(p)), "")
     if err.getvalue() and not kind:
