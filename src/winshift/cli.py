@@ -11,7 +11,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from collections.abc import Callable
+from functools import cache
 
 from . import complexity as cx
 from . import gtm as gtm_mod
@@ -45,6 +46,15 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a failed write is a domain error, like a failed read."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}") from exc
+
+
 def _flags(subst: Substitution) -> dict:
     return {
         "uniform": subst.uniform,
@@ -60,8 +70,7 @@ def _flags(subst: Substitution) -> dict:
 def cmd_classify(args) -> int:
     subst, label = resolve_substitution(args.subst)
     if args.emit:
-        with open(args.emit, "w") as handle:
-            handle.write(_json(substitution_to_dict(subst, label)) + "\n")
+        _write(args.emit, _json(substitution_to_dict(subst, label)) + "\n")
     if args.format == "json":
         obj = substitution_to_dict(subst, label)
         obj["flags"] = _flags(subst)
@@ -136,17 +145,17 @@ def cmd_winset(args) -> int:
         return 0
     alpha = parse_choices(args.choice_seq, subst.size)
     outcome = member(target, alpha, alphabet_size=subst.size)
+    # the tree is written first, so a failed write leaves stdout empty
+    if args.export_dot:
+        if outcome.win:
+            _write(args.export_dot, strategy_to_dot(outcome.strategy, subst.size))
+        else:
+            sys.stderr.write("lose: no strategy tree to export\n")
     verdict = "win" if outcome.win else "lose"
     if args.format == "json":
         _emit(_json({"choice_seq": args.choice_seq, "result": verdict}))
     else:
         _emit(verdict)
-    if args.export_dot:
-        if outcome.win:
-            with open(args.export_dot, "w") as handle:
-                handle.write(strategy_to_dot(outcome.strategy, subst.size))
-        else:
-            sys.stderr.write("lose: no strategy tree to export\n")
     return 0
 
 
@@ -316,13 +325,11 @@ def _gtm_form(kind: str, b: int, m: int, n: int | None):
 def cmd_gtm(args) -> int:
     b, m, kind = args.b, args.m, args.gtm_command
     if kind == "word":
-        if args.length < 0:
+        if args.size < 0:
             raise PreconditionError("prefix length must be nonnegative")
-        _emit(format_word(tuple(gtm_mod.gtm_letter(b, m, i) for i in range(args.length)), m))
+        _emit(format_word(tuple(gtm_mod.gtm_letter(b, m, i) for i in range(args.size)), m))
         return 0
-    # the subcommand's size option: --n, --length or --upto; syncdelay has none
-    n = next((getattr(args, k) for k in ("n", "length", "upto") if hasattr(args, k)), None)
-    shown, closed, generic = _gtm_form(kind, b, m, n)
+    shown, closed, generic = _gtm_form(kind, b, m, args.size)
     verdict = None
     if args.verify:
         try:
@@ -339,7 +346,7 @@ def cmd_gtm(args) -> int:
         _emit_lines(compress(shown, m))
     else:
         _emit(f"L = {shown}" if kind == "syncdelay" else str(shown))
-    if verdict is not None and getattr(args, "format", None) != "json":
+    if verdict is not None and args.format != "json":
         _emit("verify: ok" if verdict == "ok" else verdict)
     return 0 if verdict in (None, "ok") else 3
 
@@ -357,120 +364,127 @@ def run_verify(
 ) -> list[tuple[str, str, str]]:
     """Cross-check the pipelines on ``subst`` as (status, check, detail) rows;
     ``builtin`` names the known facts to check, ``gtm`` = (b, m) adds the
-    closed forms."""
-    checks: list[tuple[str, str, str]] = []
+    closed forms.
 
-    def record(name: str, passed: bool, detail: str) -> None:
-        checks.append(("pass" if passed else "fail", name, detail))
-
-    def skip(name: str, reason: str) -> None:
-        checks.append(("skipped", name, reason))
-
-    @contextmanager
-    def check(name: str):
-        # yields the row's recorder; a check that fails by raising is a
-        # failed row, and the checks after it still run
-        try:
-            yield lambda passed, detail: record(name, passed, detail)
-        except InternalConsistencyError as exc:
-            record(name, False, str(exc))
-
+    The periodicity probe's row comes first, and periodic input ends the
+    run there with a failed row.  Every later row comes from one
+    (name, check) pair, in order: a str check is the reason the row is
+    skipped, and a callable check returns (passed, detail).  A check that
+    raises :class:`InternalConsistencyError` is a failed row with the error
+    as its detail, and the checks after it still run.  A known fact the
+    input lacks gives no row.
+    """
     probe = periodicity_probe(subst)
     if probe.periodic:
-        record("periodicity-probe", False, f"periodic: complexity stalls at {probe.detected_at}")
-        return checks
-    record("periodicity-probe", True, f"aperiodic up to {probe.bound}")
+        return [("fail", "periodicity-probe", f"periodic: complexity stalls at {probe.detected_at}")]
 
     facts = {"delay": gtm_mod.gtm_sync_delay(*gtm)} if gtm else _KNOWN_FACTS.get(builtin, {})
-    if subst.uniform:
-        delay = sync_delay(subst).delay
-        if "delay" in facts:
-            record("known-delay", delay == facts["delay"], f"L = {delay}")
-    else:
-        delay = None
-        skip("known-delay", "not uniform")
+    # the delay is known exactly when the input is uniform
+    delay = sync_delay(subst).delay if subst.uniform else None
+    M = subst.uniform_length
+    marked = subst.uniform and subst.marked
 
-    with check("cardinality") as done:
-        ok = all(
-            winning_set_cardinality(language(subst, n).words) == len(language(subst, n))
-            for n in range(1, min(depth, 14) + 1)
-        )
-        done(ok, f"|W| = |X| for n <= {min(depth, 14)}")
+    def cardinality():
+        # winning_set_cardinality raises unless |W| = |X|
+        for n in range(1, min(depth, 14) + 1):
+            winning_set_cardinality(language(subst, n).words)
+        return True, f"|W| = |X| for n <= {min(depth, 14)}"
 
-    with check("downward-closure") as done:
+    def downward_closure():
         ok = True
         for n in range(1, min(depth, 8) + 1):
             members = winning_members(language(subst, n).words)
-            for alpha in members:
-                for p, letter in enumerate(alpha):
-                    if letter > 1:
-                        lowered = alpha[:p] + (letter - 1,) + alpha[p + 1:]
-                        if lowered not in members:
-                            ok = False
-        done(ok, f"n <= {min(depth, 8)}")
-
-    if subst.uniform and subst.marked and delay is not None:
-        M = subst.uniform_length
-        with check("substitutive-vs-brute") as done:
-            ok = all(
-                shift.enumerate_irreducible(subst, n, "brute")
-                == shift.enumerate_irreducible(subst, n, "substitutive")
-                for n in range(delay + 1, delay + 2 * M + 1)
+            ok &= all(
+                alpha[:p] + (letter - 1,) + alpha[p + 1:] in members
+                for alpha in members
+                for p, letter in enumerate(alpha)
+                if letter > 1
             )
-            done(ok, f"lengths {delay + 1}..{delay + 2 * M}")
-        with check("delta-recurrence") as done:
-            ok = all(
-                cx.delta_recurrence(subst, n) == cx.delta_direct(subst, n)
-                for n in range(1, depth + 1)
-            )
-            done(ok, f"n <= {depth}")
-    else:
-        skip("substitutive-vs-brute", "not marked")
-        skip("delta-recurrence", "not marked")
+        return ok, f"n <= {min(depth, 8)}"
 
-    if subst.uniform and subst.left_marked and delay is not None:
-        with check("decomposition-form") as done:
-            ok = True
-            for n in range(delay + 1, delay + subst.uniform_length + 1):
-                rows = sorted(shift.enumerate_irreducible(subst, n, "auto"))[:6]
-                for alpha in rows:
-                    if not shift.verify_form(subst, alpha):
-                        ok = False
-                    shift.choice_decomposition(subst, alpha, verify=True)
-            done(ok, "sampled winning sequences past the delay")
-    else:
-        skip("decomposition-form", "not left-marked")
+    def substitutive_vs_brute():
+        ok = all(
+            shift.enumerate_irreducible(subst, n, "brute")
+            == shift.enumerate_irreducible(subst, n, "substitutive")
+            for n in range(delay + 1, delay + 2 * M + 1)
+        )
+        return ok, f"lengths {delay + 1}..{delay + 2 * M}"
 
-    if "deltas" in facts:
-        with check("known-deltas") as done:
-            ok = all(cx.delta_direct(subst, n) == v for n, v in facts["deltas"].items())
-            done(ok, str(facts["deltas"]))
-    if "membership" in facts:
+    def delta_recurrence():
+        ok = all(
+            cx.delta_recurrence(subst, n) == cx.delta_direct(subst, n) for n in range(1, depth + 1)
+        )
+        return ok, f"n <= {depth}"
+
+    def decomposition_form():
+        ok = True
+        for n in range(delay + 1, delay + M + 1):
+            for alpha in sorted(shift.enumerate_irreducible(subst, n, "auto"))[:6]:
+                ok &= shift.verify_form(subst, alpha)
+                shift.choice_decomposition(subst, alpha, verify=True)
+        return ok, "sampled winning sequences past the delay"
+
+    def known_deltas():
+        deltas = facts["deltas"]
+        return all(cx.delta_direct(subst, n) == v for n, v in deltas.items()), str(deltas)
+
+    def known_membership():
         n, alpha = facts["membership"]
-        with check("known-membership") as done:
-            outcome = member(language(subst, n).words, alpha, alphabet_size=subst.size)
-            done(outcome.win, f"{format_choices(alpha, subst.size)} at length {n}")
+        outcome = member(language(subst, n).words, alpha, alphabet_size=subst.size)
+        return outcome.win, f"{format_choices(alpha, subst.size)} at length {n}"
 
-    if gtm:
-        with check("gtm-closed-forms") as done:
-            forms = [_gtm_form("complexity", *gtm, min(depth, 12))]
-            forms += [_gtm_form("factors", *gtm, n) for n in (2, 3)]
-            forms += [_gtm_form("winshift", *gtm, n) for n in range(1, min(depth, 20) + 1)]
-            ok = all(closed == generic(subst) for _, closed, generic in forms)
-            done(ok, f"diffs up to depth {min(depth, 20)}")
-    else:
-        skip("gtm-closed-forms", "not a gtm substitution")
+    def gtm_closed_forms():
+        forms = [_gtm_form("complexity", *gtm, min(depth, 12))]
+        forms += [_gtm_form("factors", *gtm, n) for n in (2, 3)]
+        forms += [_gtm_form("winshift", *gtm, n) for n in range(1, min(depth, 20) + 1)]
+        ok = all(closed == generic(subst) for _, closed, generic in forms)
+        return ok, f"diffs up to depth {min(depth, 20)}"
 
-    if facts.get("table"):
-        with check("tm-reference-table") as done:
-            ok = all(
-                expand_row(n, subst.size) == shift.enumerate_irreducible(subst, n)
-                for n in range(1, min(depth, 24) + 1)
-            )
-            done(ok, f"rows 1..{min(depth, 24)}")
-    else:
-        skip("tm-reference-table", "reference rows cover tm only")
-    return checks
+    def tm_reference_table():
+        ok = all(
+            expand_row(n, subst.size) == shift.enumerate_irreducible(subst, n)
+            for n in range(1, min(depth, 24) + 1)
+        )
+        return ok, f"rows 1..{min(depth, 24)}"
+
+    checks: list[tuple[str, str | Callable[[], tuple[bool, str]]]] = []
+    if not subst.uniform:
+        checks.append(("known-delay", "not uniform"))
+    elif "delay" in facts:
+        checks.append(("known-delay", lambda: (delay == facts["delay"], f"L = {delay}")))
+    checks += [
+        ("cardinality", cardinality),
+        ("downward-closure", downward_closure),
+        ("substitutive-vs-brute", substitutive_vs_brute if marked else "not marked"),
+        ("delta-recurrence", delta_recurrence if marked else "not marked"),
+        (
+            "decomposition-form",
+            decomposition_form if subst.uniform and subst.left_marked else "not left-marked",
+        ),
+    ]
+    if "deltas" in facts:
+        checks.append(("known-deltas", known_deltas))
+    if "membership" in facts:
+        checks.append(("known-membership", known_membership))
+    checks += [
+        ("gtm-closed-forms", gtm_closed_forms if gtm else "not a gtm substitution"),
+        (
+            "tm-reference-table",
+            tm_reference_table if facts.get("table") else "reference rows cover tm only",
+        ),
+    ]
+
+    rows = [("pass", "periodicity-probe", f"aperiodic up to {probe.bound}")]
+    for name, check in checks:
+        if isinstance(check, str):
+            rows.append(("skipped", name, check))
+            continue
+        try:
+            passed, detail = check()
+        except InternalConsistencyError as exc:
+            passed, detail = False, str(exc)
+        rows.append(("pass" if passed else "fail", name, detail))
+    return rows
 
 
 def cmd_verify(args) -> int:
@@ -540,7 +554,10 @@ def _parse_cap(text: str) -> int:
         ) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The parser, built once per process, and its ``--cap`` action, whose
+    default :func:`main` reads from the environment before every parse."""
     parser = argparse.ArgumentParser(
         prog="winshift",
         description="Winning shifts, synchronization and factor complexity "
@@ -571,12 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("syncdelay", help="synchronization delay and witness")
     add_subst(p)
-    # argparse converts a string default with ``type``, so a malformed
-    # environment value is a usage error like a malformed --cap
-    p.add_argument(
+    cap = p.add_argument(
         "--cap",
         type=_parse_cap,
-        default=os.environ.get(_SYNC_CAP_ENV) or None,
         help=f"length cap of the search (default: ${_SYNC_CAP_ENV}, else none)",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -615,24 +629,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     gtm_sub = p.add_subparsers(dest="gtm_command", required=True)
+    # each command's size option is ``size`` and only complexity has a
+    # format; the metavars keep the help as the option names made it
     q = gtm_sub.add_parser("word")
-    q.add_argument("--length", type=int, required=True)
+    q.add_argument("--length", dest="size", metavar="LENGTH", type=int, required=True)
     q = gtm_sub.add_parser("factors")
-    q.add_argument("--n", type=int, required=True, choices=(2, 3))
+    q.add_argument("--n", dest="size", type=int, required=True, choices=(2, 3))
     q.add_argument("--verify", action="store_true")
     q = gtm_sub.add_parser("syncdelay")
     q.add_argument("--verify", action="store_true")
     q = gtm_sub.add_parser("winshift")
-    q.add_argument("--length", type=int, required=True)
+    q.add_argument("--length", dest="size", metavar="LENGTH", type=int, required=True)
     q.add_argument("--verify", action="store_true")
     q = gtm_sub.add_parser("delta")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", dest="size", metavar="N", type=int, required=True)
     q.add_argument("--verify", action="store_true")
     q = gtm_sub.add_parser("complexity")
-    q.add_argument("--upto", type=int, required=True)
+    q.add_argument("--upto", dest="size", metavar="UPTO", type=int, required=True)
     q.add_argument("--format", choices=("csv", "json"), default="csv")
     q.add_argument("--verify", action="store_true")
-    p.set_defaults(handler=cmd_gtm)
+    p.set_defaults(handler=cmd_gtm, size=None, format=None)
 
     p = sub.add_parser("verify", help="cross-validate the pipelines and known values")
     p.add_argument("--subst", default=None)
@@ -641,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=10)
     p.set_defaults(handler=cmd_verify)
 
-    return parser
+    return parser, cap
 
 
 def _usage_problem(args) -> str | None:
@@ -666,7 +682,11 @@ def _usage_problem(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, cap = build_parser()
+    # read when parsing, not when building: argparse converts a string
+    # default with ``type``, so a malformed value is a usage error like a
+    # malformed --cap
+    cap.default = os.environ.get(_SYNC_CAP_ENV) or None
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

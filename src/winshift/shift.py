@@ -249,23 +249,22 @@ def irreducible_groups(
 
 def irreducible_level(subst: Substitution, n: int, method: str = "auto") -> LevelData:
     """The rows of length ``n`` on the path ``method`` picks, as in
-    :func:`enumerate_irreducible`; a brute level off the level data."""
-    return _level(subst, n) if _from_levels(subst, n, method) else _brute_level(subst, n)
+    :func:`enumerate_irreducible`.
 
-
-def _from_levels(subst: Substitution, n: int, method: str) -> bool:
-    """Whether length ``n`` is read from the substitutive level data."""
+    ``brute``, lengths below 2 and input that is not uniform and marked get
+    a brute level off the level data.  Every other length is the cached
+    level of :func:`level_data`: ``_level`` owns the delay threshold, and
+    solves the lengths up to the delay by brute force itself.
+    """
     if n < 1:
         raise PreconditionError("length must be >= 1")
     if method not in ("auto", "brute", "substitutive"):
         raise PreconditionError(f"unknown method {method!r}")
-    if method == "brute":
-        return False
     if method == "substitutive":
         subst.require("substitutive enumeration", "uniform", "marked")
-    elif not (subst.uniform and subst.marked):
-        return False
-    return n >= 2 and n > _delay(subst)
+    if method == "brute" or n < 2 or not (subst.uniform and subst.marked):
+        return _brute_level(subst, n)
+    return _level(subst, n)
 
 
 def _long_irreducible(subst: Substitution, alpha, what: str) -> ChoiceSequence:

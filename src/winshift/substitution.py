@@ -32,8 +32,9 @@ class Substitution:
                 raise ConstructionError("every image must be a nonempty tuple of letters")
             for a in img:
                 # JSON true is a bool, and bool is an int in Python
-                letter = isinstance(a, int) and not isinstance(a, bool)
-                if not (letter and 0 <= a < len(self.images)):
+                if not isinstance(a, int) or isinstance(a, bool):
+                    raise ConstructionError(f"letter {a!r} is not an integer")
+                if not 0 <= a < len(self.images):
                     raise ConstructionError(
                         f"letter {a!r} outside alphabet 0..{len(self.images) - 1}"
                     )

@@ -253,9 +253,54 @@ def test_gtm_verify_pipeline_that_raises_is_exit_3(capsys, monkeypatch):
 
 
 def test_sync_cap_env_override(capsys, monkeypatch):
+    # the variable is read on every call, not when the parser is built
     monkeypatch.setenv("WINSHIFT_SYNC_CAP", "2")
     code, _ = run(capsys, "syncdelay", "--subst", "tm")
     assert code == 1  # cap exceeded before the true delay 4
+    monkeypatch.delenv("WINSHIFT_SYNC_CAP")
+    code, out = run(capsys, "syncdelay", "--subst", "tm")
+    assert (code, out.splitlines()[0]) == (0, "L = 4")
+    monkeypatch.setenv("WINSHIFT_SYNC_CAP", "abc")
+    code, out = run(capsys, "syncdelay", "--subst", "tm")
+    assert (code, out) == (2, "")
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    import argparse
+
+    import winshift.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    per_call = []
+    for argv in (["syncdelay", "--subst", "tm"], ["delta", "--subst", "tm", "--n", "5"], ["nonsense"]):
+        before = len(built)
+        main(argv)
+        per_call.append(len(built) - before)
+    capsys.readouterr()
+    assert per_call[0] > 0 and per_call[1:] == [0, 0]
+
+
+def test_failed_output_write_is_a_domain_error(capsys, tmp_path):
+    missing = tmp_path / "no" / "such"
+    for argv in (
+        ["classify", "--subst", "tm", "--emit", str(missing / "x.json")],
+        [
+            "winset", "--subst", "tm", "--length", "4", "--choice-seq", "2212",
+            "--export-dot", str(missing / "x.dot"),
+        ],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {missing}")
 
 
 def test_periodic_input_names_the_stall(capsys, monkeypatch):
@@ -305,6 +350,11 @@ def test_bad_substitution_files_are_construction_errors(capsys, tmp_path):
         "bom.json": (b"\xff\xfe", "not UTF-8"),
         # JSON true is no letter, although bool is an int in Python
         "bool-letter.json": (tm_text.replace("[0, 1]", "[0, true]").encode(), "letter True"),
+        # 1.0 lies in the alphabet's range, but it is no integer
+        "float-letter.json": (
+            tm_text.replace("[0, 1]", "[0, 1.0]").encode(),
+            "letter 1.0 is not an integer",
+        ),
         "bool-alphabet.json": (
             tm_text.replace('"alphabet": 2', '"alphabet": true').encode(),
             "alphabet size must be an integer",

@@ -29,7 +29,7 @@ from winshift.catalog import builtin_substitution
 from winshift.cli import compress
 from winshift.errors import InternalConsistencyError
 from winshift.game import StrategyTree, winning_members
-from winshift.shift import _head_groups, _paths_to_depth, _suffix_target
+from winshift.shift import _head_groups, _paths_to_depth, _suffix_target, irreducible_level
 from winshift.tm_reference import THUE_MORSE_ROWS, expand_pattern, expand_row
 
 PERM4 = make_substitution([(0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0)])
@@ -90,6 +90,13 @@ def test_substitutive_levels_store_only_head_tails(tm, gtm23, gtm33, marked_nonp
             assert all(len(g) <= M - 1 for g, _, _ in level.rows)
             assert all(0 <= j < len(level.base.rows) for _, j, _ in level.rows)
             assert list(level.entries) == sorted(level.entries)
+
+
+def test_auto_levels_up_to_the_delay_are_the_cached_levels(tm, gtm23, marked_nonpermutive):
+    # the brute levels below the extension threshold are solved once, by level_data
+    for subst in (tm, gtm23, marked_nonpermutive):
+        for n in range(2, sync_delay(subst).delay + 1):
+            assert irreducible_level(subst, n, "auto") is level_data(subst, n)
 
 
 def test_extend_level_reproduces_reference_rows(tm):
