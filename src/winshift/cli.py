@@ -379,7 +379,7 @@ def run_verify(
         return [("fail", "periodicity-probe", f"periodic: complexity stalls at {probe.detected_at}")]
 
     facts = {"delay": gtm_mod.gtm_sync_delay(*gtm)} if gtm else _KNOWN_FACTS.get(builtin, {})
-    # the delay is known exactly when the input is uniform
+    # only uniform input has a delay, and only checks on uniform input read it
     delay = sync_delay(subst).delay if subst.uniform else None
     M = subst.uniform_length
     marked = subst.uniform and subst.marked
