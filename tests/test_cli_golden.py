@@ -161,6 +161,14 @@ OTHERS = (
     "winshift --subst gtm:2,11 --table 1..300",
     "winshift --subst gtm:2,11 --length 5000 --format json",
     "winshift --subst {perm4} --length 30000",
+    # sync witnesses (the first unsynchronized word of sorted L_n) and deeper verify runs
+    "syncdelay --subst {perm4}",
+    "syncdelay --subst {perm4} --format json",
+    "syncdelay --subst gtm:3,4",
+    "syncdelay --subst gtm:4,5 --format json",
+    "verify --subst {marked} --depth 12",
+    "verify --subst gtm:3,4 --depth 8",
+    "verify --subst tm --depth 64",
     # help of the top level, every command and every gtm command
     "--help",
     *(
