@@ -5,6 +5,12 @@ word.  A word is synchronized when all of its interpretations agree on
 the trim residue mod M, which pins the image boundaries inside it.  The
 synchronization delay is the least length past which every language word
 is synchronized.
+
+Interpretations are read off the level pairs ``σ^k(a)σ^k(b)`` that
+``language`` and ``is_factor`` share: each occurrence of a word in the
+image of a pair is one interpretation, so one text search serves a word
+of any length and no factor language is built for it.  Only the
+synchronization search reads ``language``, for the words of each level.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import (
     PeriodicInputError,
     PreconditionError,
 )
-from .substitution import Substitution, language
+from .substitution import Substitution, _occurrences, is_factor, language
 from .words import Word
 
 
@@ -60,31 +66,30 @@ def interpretations(subst: Substitution, w: Word) -> frozenset[Interpretation]:
     """All interpretations of ``w``, with trims normalized below M.
 
     Every ancestor covering ``w`` with both trims below M has at most
-    ceil((|w| + 2M - 2) / M) letters, so scanning the occurrences of
-    ``w`` inside images of language words of that length finds them all.
+    span = ceil((|w| + 2M - 2) / M) letters.  Every factor that short is
+    a window of a pair ``p = σ^k(a)σ^k(b)`` whose blocks are at least
+    span - 1 long, as the ``language`` docstring proves, and every window
+    of such a pair is a factor.  So the interpretations are exactly the
+    occurrences of ``w`` in the images ``σ(p)``: one at position t has the
+    ancestor ``p[t // M:(t + |w| - 1) // M + 1]`` and the front trim t mod M.
     """
     M = subst.require("interpretation search", "uniform", "primitive")
     w = tuple(w)
     if not w:
         raise PreconditionError("word must be nonempty")
-    if w not in language(subst, len(w)):
+    if not is_factor(subst, w):
         raise NotInLanguageError(f"word is not a factor of the subshift: {w}")
-    span = math.ceil((len(w) + 2 * M - 2) / M)
-    found: set[Interpretation] = set()
-    for z in language(subst, span).words:
-        img = subst.apply(z)
-        for t in range(len(img) - len(w) + 1):
-            if img[t:t + len(w)] != w:
-                continue
-            start = t // M
-            end = (t + len(w) - 1) // M
-            ancestor = z[start:end + 1]
-            front = t % M
-            back = M * len(ancestor) - len(w) - front
-            found.add(Interpretation(ancestor, front, back))
+    n = len(w)
+    span = math.ceil((n + 2 * M - 2) / M)
+    found = {
+        (pair[t // M:(t + n - 1) // M + 1], t % M)
+        for pair, t in _occurrences(subst, w, span, lift=1)
+    }
     if not found:
         raise InternalConsistencyError("a language word must occur inside some image")
-    return frozenset(found)
+    return frozenset(
+        Interpretation(ancestor, front, M * len(ancestor) - n - front) for ancestor, front in found
+    )
 
 
 def sync_analysis(subst: Substitution, w: Word) -> SyncAnalysis:

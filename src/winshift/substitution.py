@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
 
 from .errors import (
     ConstructionError,
@@ -182,12 +185,13 @@ class FactorLanguage:
 
 
 @lru_cache(maxsize=None)
-def _two_letter_factors(subst: Substitution) -> frozenset[Word]:
-    """``L_2``: the closure of the two-letter factors of the images under σ.
+def _two_letter_factors(subst: Substitution) -> tuple[Word, ...]:
+    """``L_2``, sorted: the closure of the two-letter factors of the images under σ.
 
     A two-letter factor of ``σ^{j+1}(c)`` lies inside one image ``σ(a)``
     or straddles ``σ(a)σ(b)`` for a factor ``ab`` of ``σ^j(c)``, so the
-    closure is exactly ``L_2``; it has at most ``s²`` words.
+    closure is exactly ``L_2``; it has at most ``s²`` words.  Its order is
+    the order of the level pairs.
     """
     found: set[Word] = set()
     todo = [w for img in subst.images for w in factors(img, 2)]
@@ -196,15 +200,66 @@ def _two_letter_factors(subst: Substitution) -> frozenset[Word]:
         if w not in found:
             found.add(w)
             todo.extend(factors(subst.apply(w), 2))
-    return frozenset(found)
+    return tuple(sorted(found))
 
 
-def _blocks(subst: Substitution, n: int) -> list[Word]:
-    """The level-k blocks ``σ^k(a)`` of :func:`language`, one per letter a."""
-    blocks = [(a,) for a in subst.letters]
-    while min(len(block) for block in blocks) < n - 1:
-        blocks = [subst.apply(block) for block in blocks]
-    return blocks
+@lru_cache(maxsize=None)
+def _level_blocks(subst: Substitution, k: int) -> tuple[Word, ...]:
+    """The level-k blocks ``σ^k(a)``, one per letter a."""
+    if k == 0:
+        return tuple((a,) for a in subst.letters)
+    return tuple(subst.apply(block) for block in _level_blocks(subst, k - 1))
+
+
+@lru_cache(maxsize=None)
+def _level(subst: Substitution, n: int) -> int:
+    """The level k of :func:`language` for length n: least with every ``|σ^k(a)| >= n - 1``."""
+    k = 0
+    while min(map(len, _level_blocks(subst, k))) < n - 1:
+        k += 1
+    return k
+
+
+@lru_cache(maxsize=None)
+def _level_pairs(subst: Substitution, k: int) -> tuple[Word, ...]:
+    """The level-k pairs ``σ^k(a)σ^k(b)``, one per ``ab`` of :func:`_two_letter_factors`."""
+    blocks = _level_blocks(subst, k)
+    return tuple(blocks[a] + blocks[b] for a, b in _two_letter_factors(subst))
+
+
+@lru_cache(maxsize=None)
+def _pair_text(subst: Substitution, k: int) -> tuple[str, tuple[int, ...]]:
+    # The level-k pairs spelled one letter per code point, so letters past a
+    # byte need no special care, and joined by chr(s), which is no letter, so
+    # no match straddles two of them; with the offset where each pair starts.
+    spelled = ["".join(map(chr, pair)) for pair in _level_pairs(subst, k)]
+    starts = tuple(accumulate((len(p) + 1 for p in spelled[:-1]), initial=0))
+    return chr(subst.size).join(spelled), starts
+
+
+def _occurrences(subst: Substitution, w: Word, n: int, lift: int = 0) -> Iterator[tuple[Word, int]]:
+    """Each occurrence of ``w`` in an image ``σ^lift(p)`` of a pair p of ``language(subst, n)``.
+
+    The pairs are ``p = σ^k(a)σ^k(b)`` at the level k of length n, and
+    ``σ^lift(p)`` is the pair of level ``k + lift`` over the same ``ab``, so
+    one text search over that level's pairs finds every occurrence.  Each
+    is yielded as ``(p, t)``, with w at position t of ``σ^lift(p)``.  A
+    word with a letter outside the alphabet has none: it never reaches
+    ``chr`` or the search.
+    """
+    if not all(map(isinstance, w, repeat(int))):
+        return
+    if min(w, default=0) < 0 or max(w, default=0) >= subst.size:
+        return
+    k = _level(subst, n)
+    pairs = _level_pairs(subst, k)
+    text, starts = _pair_text(subst, k + lift)
+    needle = "".join(map(chr, w))
+    t = text.find(needle)
+    while t >= 0:
+        i = bisect_right(starts, t) - 1
+        yield pairs[i], t - starts[i]
+        t = text.find(needle, t + 1)
 
 
 @lru_cache(maxsize=None)
@@ -238,23 +293,12 @@ def language(subst: Substitution, n: int) -> FactorLanguage:
     if n < 0:
         raise PreconditionError("factor length must be nonnegative")
     subst.require("factor language computation", "primitive")
-    blocks = _blocks(subst, n)
+    k = _level(subst, n)
+    blocks = _level_blocks(subst, k)
     found: set[Word] = set()
-    for a, b in _two_letter_factors(subst):
-        pair = blocks[a] + blocks[b]
+    for (a, _), pair in zip(_two_letter_factors(subst), _level_pairs(subst, k)):
         found.update(pair[i:i + n] for i in range(len(blocks[a])))
     return FactorLanguage(n, tuple(sorted(found)))
-
-
-@lru_cache(maxsize=None)
-def _factor_text(subst: Substitution, n: int) -> str:
-    # Each pair σ^k(a)σ^k(b) of ``language`` spelled one letter per code
-    # point, so letters past a byte need no special care; pairs are joined
-    # by chr(s), which is no letter, so no match straddles two of them.
-    blocks = _blocks(subst, n)
-    return chr(subst.size).join(
-        "".join(map(chr, blocks[a] + blocks[b])) for a, b in _two_letter_factors(subst)
-    )
 
 
 def is_factor(subst: Substitution, w) -> bool:
@@ -268,9 +312,7 @@ def is_factor(subst: Substitution, w) -> bool:
     """
     w = tuple(w)
     subst.require("factor test", "primitive")
-    if not all(isinstance(a, int) and 0 <= a < subst.size for a in w):
-        return False
-    return "".join(map(chr, w)) in _factor_text(subst, len(w))
+    return next(_occurrences(subst, w, len(w)), None) is not None
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,25 @@ def test_verify_command(capsys):
     assert "gtm-closed-forms" in out
 
 
+def test_verify_depth_bounds_the_delta_recurrence_row(capsys, monkeypatch):
+    # every delta_direct(n) builds L_n, so an unbounded row ran out of memory
+    import winshift.cli as cli
+
+    asked = []
+    delta_direct = cli.cx.delta_direct
+
+    def recording(subst, n):
+        asked.append(n)
+        return delta_direct(subst, n)
+
+    monkeypatch.setattr(cli.cx, "delta_direct", recording)
+    code, out = run(capsys, "verify", "--subst", "tm", "--depth", "1000")
+    assert code == 0
+    assert asked and max(asked) <= 64
+    (row,) = [line for line in out.splitlines() if "delta-recurrence" in line]
+    assert row.endswith("n <= 64")
+
+
 def test_gtm_verify_mismatch_is_exit_3(capsys, monkeypatch):
     import winshift.cli as cli
 

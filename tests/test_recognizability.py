@@ -1,3 +1,4 @@
+import math
 import random
 from contextlib import suppress
 from itertools import product
@@ -5,6 +6,7 @@ from itertools import product
 import pytest
 
 import winshift.recognizability as recognizability
+import winshift.substitution as substitution
 from winshift import (
     CapExceededError,
     Interpretation,
@@ -13,6 +15,7 @@ from winshift import (
     PreconditionError,
     SyncDelay,
     decomposition,
+    fixed_point_prefix,
     gtm_substitution,
     interpretations,
     language,
@@ -44,9 +47,66 @@ def test_image_is_its_own_interpretation(tm):
         assert Interpretation(z, 0, 0) in got
 
 
-def test_interpretations_reject_foreign_words(tm):
-    with pytest.raises(NotInLanguageError):
-        interpretations(tm, (0, 0, 0))
+def test_interpretations_reject_foreign_words(tm, monkeypatch):
+    # no letter outside 0..s-1 is ever spelled: -1 would fail chr, and s is
+    # the separator of the pair text; 1.0 == 1, but it is no letter
+    spelled = []
+
+    def recording_chr(code):
+        spelled.append(code)
+        return chr(code)
+
+    monkeypatch.setattr(substitution, "chr", recording_chr, raising=False)
+    for w in ((0, 2), (0, -1), ("a",), (0, 0, 0), (0, 1.0, 1)):
+        with pytest.raises(NotInLanguageError):
+            interpretations(tm, w)
+    with pytest.raises(PreconditionError):
+        interpretations(tm, ())
+    assert all(isinstance(code, int) and 0 <= code < tm.size for code in spelled)
+
+
+def image_scan_interpretations(subst, w):
+    """The search before it read the level pairs: σ of every word of L_span, scanned for w."""
+    M = subst.uniform_length
+    span = math.ceil((len(w) + 2 * M - 2) / M)
+    found = set()
+    for z in language(subst, span).words:
+        img = subst.apply(z)
+        for t in range(len(img) - len(w) + 1):
+            if img[t:t + len(w)] == w:
+                ancestor = z[t // M:(t + len(w) - 1) // M + 1]
+                found.add(Interpretation(ancestor, t % M, M * len(ancestor) - len(w) - t % M))
+    return frozenset(found)
+
+
+def random_primitive_uniform(count, seed):
+    """Seeded primitive uniform substitutions with s <= 3 and M <= 4, periodic ones included."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        s, M = rng.choice((2, 3)), rng.choice((2, 3, 4))
+        subst = make_substitution(
+            [tuple(rng.randrange(s) for _ in range(M)) for _ in range(s)]
+        )
+        if subst.primitive:
+            found.append(subst)
+    return found
+
+
+def test_interpretations_match_the_image_scan(tm, ex42, ex46, gtm23, gtm33, gtm42, perm4):
+    periodic = make_substitution([(0, 1), (0, 1)])
+    cycle3 = make_substitution([(0, 1), (2, 0), (1, 2)])
+    inputs = [tm, ex42, ex46, gtm23, gtm33, gtm42, perm4, periodic, cycle3]
+    for subst in inputs + random_primitive_uniform(50, 14):
+        M = subst.uniform_length
+        for n in range(1, 13):
+            for w in language(subst, n).words:
+                got = interpretations(subst, w)
+                assert got == image_scan_interpretations(subst, w), (subst.images, w)
+                for it in got:
+                    img = subst.apply(it.ancestor)
+                    assert 0 <= it.front < M and 0 <= it.back < M
+                    assert img[it.front:len(img) - it.back] == w
 
 
 def test_sync_delays(tm, ex42, ex46, gtm23, gtm33, gtm42):
@@ -185,3 +245,32 @@ def test_search_reads_no_level_past_the_delay_or_the_stall(tm, ex42, monkeypatch
         with suppress(PeriodicInputError):
             search(subst, None)
         assert max(read) == last
+
+
+def test_long_words_read_no_language_past_the_search(tm, monkeypatch):
+    # interpretations come from the level pairs, so a long word builds no L_n
+    asked = []
+
+    def recording(module):
+        build = module.language
+
+        def language(subst, n):
+            asked.append(n)
+            return build(subst, n)
+
+        monkeypatch.setattr(module, "language", language)
+
+    recording(substitution)
+    recording(recognizability)
+    recognizability._sync_delay_search.__wrapped__(tm, None)
+    searched = max(asked)
+    asked.clear()
+    w = fixed_point_prefix(tm, 0, 2003)[3:]
+    assert decomposition(tm, w) == 1
+    assert sync_analysis(tm, w).synchronized
+    assert max(asked, default=0) <= searched
+
+    # a prefix of the fixed point starts on the image grid
+    w = fixed_point_prefix(tm, 0, 100000)
+    assert decomposition(tm, w) == 0
+    assert decomposition(tm, w[1:]) == 1
