@@ -5,7 +5,8 @@ stderr kind).  Stderr is compared only by its ``error:``/``usage:`` prefix, so
 domain errors may be reworded without touching the corpus.  ``{marked}`` is a
 marked three-letter substitution and ``{perm4}`` a permutive four-letter one,
 both written as JSON; ``{cycle3}`` is a marked periodic substitution that
-never synchronizes and ``{fib}`` the non-uniform Fibonacci substitution.
+never synchronizes, ``{twin}`` an unmarked periodic one that synchronizes at
+L = 1, and ``{fib}`` the non-uniform Fibonacci substitution.
 ``{dot}`` and ``{emit}`` are scratch output paths.  Every entry runs with
 ``COLUMNS=80``, because argparse wraps help and usage text to the terminal
 width.
@@ -34,6 +35,7 @@ PERM4 = {
 }
 CYCLE3 = {"alphabet": 3, "images": [[0, 1], [2, 0], [1, 2]], "name": "cycle3"}
 FIB = {"alphabet": 2, "images": [[0, 1], [0]], "name": "fib"}
+TWIN = {"alphabet": 2, "images": [[0, 1], [0, 1]], "name": "twin"}
 
 SUBSTS = ("tm", "ex42", "ex46", "gtm:2,3", "gtm:3,3", "{marked}")
 PER_SUBST = (
@@ -169,6 +171,12 @@ OTHERS = (
     "verify --subst {marked} --depth 12",
     "verify --subst gtm:3,4 --depth 8",
     "verify --subst tm --depth 64",
+    # periodic input that synchronizes, and the periodicity row on a long probe
+    "syncdelay --subst {twin}",
+    "syncdelay --subst {twin} --format json",
+    "winshift --subst {twin} --length 6 --format json",
+    "verify --subst {twin} --depth 5",
+    "verify --subst gtm:4,5 --depth 2",
     # help of the top level, every command and every gtm command
     "--help",
     *(
@@ -198,7 +206,8 @@ def corpus() -> list[str]:
 
 def replay(command: str, tmp: Path) -> list:
     paths = {"dot": str(tmp / "tree.dot"), "emit": str(tmp / "emit.json")}
-    for key, subst in (("marked", MARKED), ("perm4", PERM4), ("cycle3", CYCLE3), ("fib", FIB)):
+    substs = {"marked": MARKED, "perm4": PERM4, "cycle3": CYCLE3, "fib": FIB, "twin": TWIN}
+    for key, subst in substs.items():
         path = tmp / f"{subst['name']}.json"
         path.write_text(json.dumps(subst))
         paths[key] = str(path)
