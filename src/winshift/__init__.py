@@ -61,6 +61,7 @@ from .recognizability import (
     SyncDelay,
     decomposition,
     interpretations,
+    periodicity,
     sync_analysis,
     sync_delay,
 )
@@ -81,7 +82,6 @@ from .substitution import (
     FactorLanguage,
     PeriodicityProbe,
     Substitution,
-    default_probe_bound,
     fixed_point_prefix,
     is_factor,
     language,

@@ -20,7 +20,7 @@ from . import shift
 from .catalog import gtm_parameters, resolve_substitution, substitution_to_dict
 from .errors import InternalConsistencyError, PreconditionError, WinshiftError
 from .game import StrategyTree, member, winning_members, winning_set, winning_set_cardinality
-from .recognizability import sync_delay
+from .recognizability import periodicity, sync_delay
 from .substitution import (
     Substitution,
     fixed_point_prefix,
@@ -107,9 +107,24 @@ def _print_words(words, size: int) -> None:
     _emit("\n".join(format_word(w, size) for w in words))
 
 
+def _periodicity_label(subst: Substitution, fmt: str) -> list[str]:
+    """The ``assumptions`` of a json answer on ``subst``, which has been
+    answered, so it is primitive.  A uniform periodic input is named there,
+    or in a stderr note in the other formats."""
+    if subst.uniform:
+        periodic, at = periodicity(subst)
+        if periodic:
+            stall = f"periodic: its factor complexity stalls at length {at}"
+            if fmt != "json":
+                sys.stderr.write(f"note: {stall}\n")
+            return [stall]
+    return ["aperiodicity assumed (run verify to probe)"]
+
+
 def cmd_syncdelay(args) -> int:
     subst, _ = resolve_substitution(args.subst)
     result = sync_delay(subst, args.cap)
+    assumptions = _periodicity_label(subst, args.format)
     witness = (
         format_word(result.witness, subst.size) if result.witness is not None else None
     )
@@ -120,7 +135,7 @@ def cmd_syncdelay(args) -> int:
                     "L": result.delay,
                     "witness": witness,
                     "offsets_of_witness": sorted(result.witness_offsets),
-                    "assumptions": ["aperiodicity assumed (run verify to probe)"],
+                    "assumptions": assumptions,
                 }
             )
         )
@@ -238,13 +253,16 @@ def cmd_winshift(args) -> int:
         # each base level is spelled once for the whole table; every row is
         # built before any is written, so a failing length leaves stdout empty
         spelled: dict = {}
-        _emit_lines([
+        lines = [
             f"{n}: {row}"
             for n in range(low, high + 1)
             for row in _format_rows(_level_rows(subst, n, args.method, spelled), m)
-        ])
+        ]
+        _periodicity_label(subst, args.format)
+        _emit_lines(lines)
         return 0
     groups = _level_rows(subst, args.length, args.method)
+    assumptions = _periodicity_label(subst, args.format)
     if args.format == "text":
         _emit_lines(_format_rows(groups, m))
         return 0
@@ -256,7 +274,7 @@ def cmd_winshift(args) -> int:
                     "length": args.length,
                     "irreducible": ordered,
                     "count": len(ordered),
-                    "assumptions": ["aperiodicity assumed (run verify to probe)"],
+                    "assumptions": assumptions,
                 }
             )
         )
@@ -366,17 +384,25 @@ def run_verify(
     ``builtin`` names the known facts to check, ``gtm`` = (b, m) adds the
     closed forms.
 
-    The periodicity probe's row comes first, and periodic input ends the
-    run there with a failed row.  Every later row comes from one
+    The periodicity row comes first, and periodic input ends the run there
+    with a failed row.  Uniform input reads the exact verdict; other input
+    has no interpretations, so a scan of the factor counts to length 64
+    stands in for it.  Every later row comes from one
     (name, check) pair, in order: a str check is the reason the row is
     skipped, and a callable check returns (passed, detail).  A check that
     raises :class:`InternalConsistencyError` is a failed row with the error
     as its detail, and the checks after it still run.  A known fact the
     input lacks gives no row.
     """
-    probe = periodicity_probe(subst)
-    if probe.periodic:
-        return [("fail", "periodicity-probe", f"periodic: complexity stalls at {probe.detected_at}")]
+    if subst.uniform:
+        periodic, at = periodicity(subst)
+        aperiodic = f"aperiodic: every word of length {at} is recognized"
+    else:
+        probe = periodicity_probe(subst, 64)
+        periodic, at = probe.periodic, probe.detected_at
+        aperiodic = f"aperiodic up to {probe.bound}"
+    if periodic:
+        return [("fail", "periodicity-probe", f"periodic: complexity stalls at {at}")]
 
     facts = {"delay": gtm_mod.gtm_sync_delay(*gtm)} if gtm else _KNOWN_FACTS.get(builtin, {})
     # only uniform input has a delay, and only checks on uniform input read it
@@ -476,7 +502,7 @@ def run_verify(
         ),
     ]
 
-    rows = [("pass", "periodicity-probe", f"aperiodic up to {probe.bound}")]
+    rows = [("pass", "periodicity-probe", aperiodic)]
     for name, check in checks:
         if isinstance(check, str):
             rows.append(("skipped", name, check))

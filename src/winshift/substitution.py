@@ -245,9 +245,10 @@ def _occurrences(subst: Substitution, w: Word, n: int, lift: int = 0) -> Iterato
     one text search over that level's pairs finds every occurrence.  Each
     is yielded as ``(p, t)``, with w at position t of ``σ^lift(p)``.  A
     word with a letter outside the alphabet has none: it never reaches
-    ``chr`` or the search.
+    ``chr`` or the search; nor has a word with a bool, which is an int in
+    Python but no letter, as in :class:`Substitution`.
     """
-    if not all(map(isinstance, w, repeat(int))):
+    if not all(map(isinstance, w, repeat(int))) or any(map(isinstance, w, repeat(bool))):
         return
     if min(w, default=0) < 0 or max(w, default=0) >= subst.size:
         return
@@ -324,12 +325,7 @@ class PeriodicityProbe:
     bound: int
 
 
-def default_probe_bound(subst: Substitution) -> int:
-    width = subst.uniform_length or max(len(img) for img in subst.images)
-    return max(64, width * subst.size * 8)
-
-
-def periodicity_probe(subst: Substitution, n_max: int | None = None) -> PeriodicityProbe:
+def periodicity_probe(subst: Substitution, n_max: int) -> PeriodicityProbe:
     """Detect periodicity via a stalling complexity function.
 
     The subshift of a primitive substitution is periodic iff the number
@@ -337,16 +333,16 @@ def periodicity_probe(subst: Substitution, n_max: int | None = None) -> Periodic
     Hedlund).  This compares ``len(language(subst, n))`` for consecutive
     n up to the bound and reports the first stall; each length is one
     exact pass of :func:`language`, so the answer is certain for every
-    length scanned and says nothing about longer ones.
+    length scanned and says nothing about longer ones.  Uniform input has
+    an exact verdict, ``recognizability.periodicity``.
     """
     subst.require("periodicity probe", "primitive")
-    bound = default_probe_bound(subst) if n_max is None else n_max
-    if bound < 1:
+    if n_max < 1:
         raise PreconditionError("probe bound must be >= 1")
     prev = len(language(subst, 1))
-    for n in range(1, bound + 1):
+    for n in range(1, n_max + 1):
         cur = len(language(subst, n + 1))
         if cur == prev:
-            return PeriodicityProbe(True, n, bound)
+            return PeriodicityProbe(True, n, n_max)
         prev = cur
-    return PeriodicityProbe(False, None, bound)
+    return PeriodicityProbe(False, None, n_max)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from winshift import builtin_substitution, gtm_substitution, make_substitution, periodicity_probe
+from winshift import builtin_substitution, gtm_substitution, make_substitution, periodicity
 
 
 def random_marked(count, seed):
@@ -18,7 +18,7 @@ def random_marked(count, seed):
         ]
         subst = make_substitution(images)
         # periodic inputs have no synchronization delay: out of the domain
-        if subst.primitive and not periodicity_probe(subst).periodic:
+        if subst.primitive and not periodicity(subst)[0]:
             found.append(subst)
     return found
 

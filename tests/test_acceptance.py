@@ -249,5 +249,5 @@ def test_criterion_8_property_suites_pass_line(capsys):
 def test_criterion_9_periodicity_guard(capsys):
     with pytest.raises(PeriodicInputError, match=r"b ≡ 1 \(mod m\)"):
         gtm_params(3, 2)
-    assert periodicity_probe(gtm_substitution(3, 2)).periodic
+    assert periodicity_probe(gtm_substitution(3, 2), 64).periodic
     announce(capsys, 9, "periodic parameters rejected and probed")

@@ -172,6 +172,41 @@ def test_verify_command(capsys):
     assert "gtm-closed-forms" in out
 
 
+def test_verify_reads_the_periodicity_verdict(capsys):
+    code, out = run(capsys, "verify", "--subst", "gtm:4,5", "--depth", "2")
+    assert code == 0
+    assert out.startswith("PASS    periodicity-probe: aperiodic: every word of length 8 is recognized\n")
+    code, out = run(capsys, "verify", "--subst", "gtm:3,2", "--depth", "2")
+    assert (code, out) == (3, "FAIL    periodicity-probe: periodic: complexity stalls at 1\noverall: fail\n")
+
+
+def test_periodic_input_that_synchronizes_is_labelled(capsys, tmp_path):
+    # [01, 01] has the fixed point (01)^w and synchronizes at L = 1: the
+    # answers are exact, and each one says the input is periodic
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps({"alphabet": 2, "images": [[0, 1], [0, 1]]}))
+    stall = "periodic: its factor complexity stalls at length 1"
+    for argv, out in (
+        (["syncdelay"], "L = 1\n"),
+        (["winshift", "--length", "6", "--format", "csv"], "n,sequence\n"),
+        (["winshift", "--length", "6"], ""),
+        (["winshift", "--table", "1..3"], "1: ◇\n"),
+    ):
+        assert main([argv[0], "--subst", str(twin), *argv[1:]]) == 0
+        assert tuple(capsys.readouterr()) == (out, f"note: {stall}\n")
+    for argv in (["syncdelay"], ["winshift", "--length", "6"]):
+        assert main([argv[0], "--subst", str(twin), *argv[1:], "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["assumptions"] == [stall]
+        assert captured.err == ""
+    # aperiodic input keeps its label and an empty stderr
+    for argv in (["syncdelay", "--subst", "tm"], ["winshift", "--subst", "tm", "--length", "6"]):
+        assert main([*argv, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["assumptions"] == ["aperiodicity assumed (run verify to probe)"]
+        assert captured.err == ""
+
+
 def test_verify_depth_bounds_the_delta_recurrence_row(capsys, monkeypatch):
     # every delta_direct(n) builds L_n, so an unbounded row ran out of memory
     import winshift.cli as cli

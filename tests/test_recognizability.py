@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from contextlib import suppress
 from itertools import product
 
@@ -18,9 +19,11 @@ from winshift import (
     fixed_point_prefix,
     gtm_substitution,
     interpretations,
+    is_factor,
     language,
     make_substitution,
     parse_word,
+    periodicity,
     periodicity_probe,
     sync_analysis,
     sync_delay,
@@ -49,19 +52,26 @@ def test_image_is_its_own_interpretation(tm):
 
 def test_interpretations_reject_foreign_words(tm, monkeypatch):
     # no letter outside 0..s-1 is ever spelled: -1 would fail chr, and s is
-    # the separator of the pair text; 1.0 == 1, but it is no letter
+    # the separator of the pair text; 1.0 == 1 and True == 1, but neither
+    # is a letter
     spelled = []
 
     def recording_chr(code):
         spelled.append(code)
         return chr(code)
 
+    # decomposition reads the delay first, whose levels spell the separator
+    sync_delay(tm)
     monkeypatch.setattr(substitution, "chr", recording_chr, raising=False)
     for w in ((0, 2), (0, -1), ("a",), (0, 0, 0), (0, 1.0, 1)):
         with pytest.raises(NotInLanguageError):
             interpretations(tm, w)
     with pytest.raises(PreconditionError):
         interpretations(tm, ())
+    assert not is_factor(tm, (True, False))
+    for read in (interpretations, sync_analysis, decomposition):
+        with pytest.raises(NotInLanguageError):
+            read(tm, (True, False, False, True))
     assert all(isinstance(code, int) and 0 <= code < tm.size for code in spelled)
 
 
@@ -190,15 +200,19 @@ def reference_sync_delay(subst, limit=64):
     raise CapExceededError(f"no synchronization delay found up to length {limit}")
 
 
-def primitive_uniform_inputs():
-    """Every primitive input with s = 2 and M <= 4 or s = 3 and M = 2, and
-    60 seeded ones with s = M = 3."""
+def every_small_primitive_input():
+    """Every primitive input with s = 2 and M <= 4 or s = 3 and M = 2: 568 of them."""
     found = [
         make_substitution(images)
         for s, M in ((2, 2), (2, 3), (2, 4), (3, 2))
         for images in product(product(range(s), repeat=M), repeat=s)
     ]
-    found = [subst for subst in found if subst.primitive]
+    return [subst for subst in found if subst.primitive]
+
+
+def primitive_uniform_inputs():
+    """:func:`every_small_primitive_input` and 60 seeded inputs with s = M = 3."""
+    found = every_small_primitive_input()
     rng = random.Random(3)
     seeded = 0
     while seeded < 60:
@@ -219,7 +233,8 @@ def test_search_stops_on_exact_grounds_only():
         try:
             expected = reference_sync_delay(subst)
         except CapExceededError:
-            stall = periodicity_probe(subst).detected_at
+            bound = 72 if subst.size == subst.uniform_length == 3 else 64
+            stall = periodicity_probe(subst, bound).detected_at
             with pytest.raises(PeriodicInputError, match=f"stalls at length {stall},"):
                 sync_delay(subst)
             periodic += 1
@@ -274,3 +289,48 @@ def test_long_words_read_no_language_past_the_search(tm, monkeypatch):
     w = fixed_point_prefix(tm, 0, 100000)
     assert decomposition(tm, w) == 0
     assert decomposition(tm, w[1:]) == 1
+
+
+def reference_stall(subst, limit=32):
+    """The first n <= limit with |L_{n+1}| = |L_n|, or None."""
+    counts = [len(language(subst, n)) for n in range(1, limit + 2)]
+    return next((n for n in range(1, limit + 1) if counts[n] == counts[n - 1]), None)
+
+
+def test_periodicity_verdict_matches_the_stall_scan():
+    inputs = every_small_primitive_input()
+    assert len(inputs) == 568
+    periodic = 0
+    for subst in inputs:
+        stall = reference_stall(subst)
+        verdict, at = periodicity(subst)
+        if verdict:
+            assert at == stall, subst.images
+            periodic += 1
+        else:
+            assert stall is None, subst.images
+            assert at >= sync_delay(subst).delay, subst.images
+    assert periodic > 0
+    assert periodicity(make_substitution([(0, 1), (0, 1)])) == (True, 1)
+    assert periodicity(gtm_substitution(3, 2)) == (True, 1)
+
+
+def test_periodicity_verdict_reads_each_word_once(tm, perm4, monkeypatch):
+    # the synchronization search and the verdict share one reading per level
+    read = Counter()
+
+    def counting(subst, w):
+        read[subst, w] += 1
+        return interpretations(subst, w)
+
+    monkeypatch.setattr(recognizability, "interpretations", counting)
+    for cached in (
+        recognizability._level_reading,
+        recognizability._sync_delay_search,
+        recognizability.periodicity,
+    ):
+        cached.cache_clear()
+    for subst, delay in ((tm, 4), (perm4, 4), (gtm_substitution(4, 5), 8)):
+        assert sync_delay(subst).delay == delay
+        assert periodicity(subst) == (False, delay)
+    assert read and max(read.values()) == 1

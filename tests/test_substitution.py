@@ -237,12 +237,12 @@ def test_periodicity_probe(tm, gtm23):
     assert not periodicity_probe(tm, 16).periodic
     assert not periodicity_probe(gtm23, 16).periodic
     twin = make_substitution([(0, 1), (0, 1)])  # fixed point (01)^w
-    probe = periodicity_probe(twin)
+    probe = periodicity_probe(twin, 64)
     assert probe.periodic and probe.detected_at == 1
 
 
 def test_periodicity_probe_gtm_periodic_parameters():
     from winshift import gtm_substitution
 
-    probe = periodicity_probe(gtm_substitution(3, 2))
+    probe = periodicity_probe(gtm_substitution(3, 2), 64)
     assert probe.periodic
