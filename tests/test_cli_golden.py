@@ -177,6 +177,10 @@ OTHERS = (
     "winshift --subst {twin} --length 6 --format json",
     "verify --subst {twin} --depth 5",
     "verify --subst gtm:4,5 --depth 2",
+    # direct factor counts at lengths where the count, not the words, matters
+    "complexity --subst tm --upto 200 --method direct",
+    "complexity --subst {fib} --upto 200",
+    "delta --subst {fib} --n 150",
     # help of the top level, every command and every gtm command
     "--help",
     *(
