@@ -82,6 +82,7 @@ from .substitution import (
     FactorLanguage,
     PeriodicityProbe,
     Substitution,
+    factor_count,
     fixed_point_prefix,
     is_factor,
     language,

@@ -437,7 +437,7 @@ def run_verify(
         return ok, f"lengths {delay + 1}..{delay + 2 * M}"
 
     def delta_recurrence():
-        # each delta_direct(n) builds and keeps L_n, so the row is bounded too
+        # bounded: direct counts to 10^5 letters still cost seconds and hundreds of MB
         bound = min(depth, 64)
         ok = all(
             cx.delta_recurrence(subst, n) == cx.delta_direct(subst, n) for n in range(1, bound + 1)

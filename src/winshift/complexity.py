@@ -23,7 +23,7 @@ from itertools import accumulate
 from .errors import PreconditionError
 from .recognizability import sync_delay
 from .shift import extension_plan
-from .substitution import Substitution, language
+from .substitution import Substitution, factor_count
 
 
 def recurrence_constant(subst: Substitution) -> int:
@@ -43,12 +43,16 @@ def resolve_method(subst: Substitution, method: str) -> str:
 
 
 def delta_direct(subst: Substitution, n: int) -> int:
-    """First difference of the factor complexity by plain enumeration."""
+    """First difference of the factor complexity from the direct factor counts.
+
+    Both counts come from :func:`~winshift.substitution.factor_count`, which
+    reads them off one suffix automaton per level and never builds ``L_n``.
+    """
     if n < 0:
         raise PreconditionError("length must be nonnegative")
     if n == 0:
         return 1
-    return len(language(subst, n)) - len(language(subst, n - 1))
+    return factor_count(subst, n) - factor_count(subst, n - 1)
 
 
 def delta_recurrence(subst: Substitution, n: int) -> int:

@@ -177,7 +177,7 @@ def _level(subst: Substitution, n: int) -> LevelData:
 def _brute_level(subst: Substitution, n: int) -> LevelData:
     """The irreducible winning sequences of length ``n`` read off the solved
     game: the last letter is above 1, or at length 1 two letters are won."""
-    groups = suffix_first_letters(language(subst, n).word_set)
+    groups = suffix_first_letters(language(subst, n).words)
     rows = tuple(
         (suffix, None, letters)
         for suffix, letters in sorted(groups.items())

@@ -316,6 +316,75 @@ def is_factor(subst: Substitution, w) -> bool:
     return next(_occurrences(subst, w, len(w)), None) is not None
 
 
+@lru_cache(maxsize=None)
+def _factor_counts(subst: Substitution, k: int) -> tuple[int, ...]:
+    """``|L_n|`` for n = 0..N with N = min ``|σ^k(a)|`` + 1, from the level-k pairs.
+
+    Every ``σ^k(a)`` has length >= n - 1 for these n, so by the argument
+    of :func:`language` every length-n window of a pair ``σ^k(a)σ^k(b)``
+    is a factor (``σ^k(ab)`` is one) and every factor is such a window:
+    the distinct length-n substrings of the pairs are exactly ``L_n``.
+
+    They are counted with one generalised suffix automaton over the pairs
+    (Blumer et al. 1985), built online: each pair is read from the root,
+    and a transition that already exists is followed, or split off by a
+    clone when it skips a length.  A state v stands for the substrings
+    of lengths ``len(link v) < n <= len v``, so a difference array over
+    the states gives every count in one pass; the automaton is dropped.
+    """
+    top = min(map(len, _level_blocks(subst, k))) + 1
+    length, link, edges = [0], [-1], [{}]
+
+    def split(p: int, q: int, c: int) -> int:
+        # a clone of q one letter longer than p takes over the c-edges of
+        # p and its links that led to q
+        r = len(length)
+        length.append(length[p] + 1)
+        link.append(link[q])
+        edges.append(dict(edges[q]))
+        link[q] = r
+        while p >= 0 and edges[p].get(c) == q:
+            edges[p][c] = r
+            p = link[p]
+        return r
+
+    for pair in _level_pairs(subst, k):
+        last = 0
+        for c in pair:
+            q = edges[last].get(c)
+            if q is not None:
+                last = q if length[q] == length[last] + 1 else split(last, q, c)
+                continue
+            cur = len(length)
+            length.append(length[last] + 1)
+            link.append(0)
+            edges.append({})
+            p = last
+            while p >= 0 and c not in edges[p]:
+                edges[p][c] = cur
+                p = link[p]
+            if p >= 0:
+                q = edges[p][c]
+                link[cur] = q if length[q] == length[p] + 1 else split(p, q, c)
+            last = cur
+    # the root stands for the empty word alone
+    diff = [1, -1] + [0] * top
+    for v in range(1, len(length)):
+        low = length[link[v]] + 1
+        if low <= top:
+            diff[low] += 1
+            diff[min(length[v], top) + 1] -= 1
+    return tuple(accumulate(diff))[:top + 1]
+
+
+def factor_count(subst: Substitution, n: int) -> int:
+    """``len(language(subst, n))``, read off :func:`_factor_counts` without building ``L_n``."""
+    if n < 0:
+        raise PreconditionError("factor length must be nonnegative")
+    subst.require("factor language computation", "primitive")
+    return _factor_counts(subst, _level(subst, n))[n]
+
+
 @dataclass(frozen=True)
 class PeriodicityProbe:
     """Outcome of the Morse-Hedlund scan up to a bound."""
@@ -330,18 +399,18 @@ def periodicity_probe(subst: Substitution, n_max: int) -> PeriodicityProbe:
 
     The subshift of a primitive substitution is periodic iff the number
     of length-n factors is the same at two consecutive lengths (Morse and
-    Hedlund).  This compares ``len(language(subst, n))`` for consecutive
-    n up to the bound and reports the first stall; each length is one
-    exact pass of :func:`language`, so the answer is certain for every
-    length scanned and says nothing about longer ones.  Uniform input has
-    an exact verdict, ``recognizability.periodicity``.
+    Hedlund).  This compares :func:`factor_count` for consecutive n up to
+    the bound and reports the first stall; every count is exact, so the
+    answer is certain for every length scanned and says nothing about
+    longer ones.  Uniform input has an exact verdict,
+    ``recognizability.periodicity``.
     """
     subst.require("periodicity probe", "primitive")
     if n_max < 1:
         raise PreconditionError("probe bound must be >= 1")
-    prev = len(language(subst, 1))
+    prev = factor_count(subst, 1)
     for n in range(1, n_max + 1):
-        cur = len(language(subst, n + 1))
+        cur = factor_count(subst, n + 1)
         if cur == prev:
             return PeriodicityProbe(True, n, n_max)
         prev = cur

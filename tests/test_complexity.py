@@ -220,6 +220,22 @@ def test_delta_counts_irreducible_sequences(tm, ex42, gtm23, gtm33):
             )
 
 
+@pytest.mark.parametrize("name", ["tm", "gtm23", "marked_nonpermutive"])
+def test_direct_table_matches_the_recurrence_to_4096(name, request):
+    subst = request.getfixturevalue(name)
+    direct = complexity_table(subst, 4096, "direct")
+    recurrence = complexity_table(subst, 4096, "recurrence")
+    assert direct.deltas == recurrence.deltas and direct.values == recurrence.values
+    assert set(direct.methods) == {"direct"}
+
+
+def test_fibonacci_direct_table_is_n_plus_one():
+    # Sturmian: p(n) = n + 1 at every length
+    table = complexity_table(make_substitution([(0, 1), (0,)]), 10**4)
+    assert table.values == tuple(range(1, 10**4 + 2))
+    assert set(table.methods) == {"direct"}
+
+
 def test_complexity_strictly_increasing(tm, ex42, ex46, gtm33):
     for subst in (tm, ex42, ex46, gtm33):
         table = complexity_table(subst, 14, "direct")

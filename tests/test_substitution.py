@@ -3,12 +3,14 @@ import random
 from itertools import product
 
 import pytest
+from conftest import random_marked
 
 from winshift import (
     ConstructionError,
     PreconditionError,
     UnsupportedInputError,
     builtin_substitution,
+    factor_count,
     factors,
     fixed_point_prefix,
     is_factor,
@@ -212,12 +214,53 @@ def test_is_factor_past_a_byte():
     assert not is_factor(subst, (s,)) and not is_factor(subst, (-1, 0))
 
 
+def _two_letter_inputs():
+    """Every primitive two-letter substitution with image lengths 1 to 3,
+    periodic ones such as 0 -> 01, 1 -> 01 included."""
+    images = [w for m in (1, 2, 3) for w in product((0, 1), repeat=m)]
+    found = []
+    for pair in product(images, repeat=2):
+        if {len(w) for w in pair} != {1}:
+            subst = make_substitution(pair)
+            if subst.primitive:
+                found.append(subst)
+    return found
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        pytest.param(
+            lambda: [
+                builtin_substitution(n)
+                for n in ("tm", "ex42", "ex46", "gtm:2,3", "gtm:3,3", "gtm:3,2")
+            ],
+            id="builtins",
+        ),
+        pytest.param(lambda: random_marked(6, seed=20171), id="random-marked"),
+        pytest.param(_two_letter_inputs, id="two-letter-lengths-1-3"),
+        pytest.param(
+            lambda: [make_substitution(i) for i in ([(0, 1), (0,)], [(0, 1, 2), (2,), (1, 0)])],
+            id="length-one-images",
+        ),
+    ],
+)
+def test_factor_count_agrees_with_language(inputs):
+    for subst in inputs():
+        for n in range(41):
+            assert factor_count(subst, n) == len(language(subst, n)), (subst.images, n)
+
+
 def test_language_requires_primitive():
     stuck = make_substitution([(0, 0), (1, 1)])
     with pytest.raises(UnsupportedInputError):
         language(stuck, 2)
     with pytest.raises(UnsupportedInputError):
         is_factor(stuck, (0, 0))
+    with pytest.raises(UnsupportedInputError):
+        factor_count(stuck, 2)
+    with pytest.raises(PreconditionError):
+        factor_count(builtin_substitution("tm"), -1)
 
 
 def test_tm_is_overlap_free(tm):
