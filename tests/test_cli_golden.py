@@ -177,6 +177,15 @@ OTHERS = (
     "winshift --subst {twin} --length 6 --format json",
     "verify --subst {twin} --depth 5",
     "verify --subst gtm:4,5 --depth 2",
+    # answers on periodic input that synchronizes, in every format they have
+    "complexity --subst {twin} --upto 4",
+    "complexity --subst {twin} --upto 4 --format json",
+    "delta --subst {twin} --n 4",
+    "winset --subst {twin} --length 4",
+    "winset --subst {twin} --length 4 --format json",
+    "winset --subst {twin} --length 4 --choice-seq 2111",
+    "language --subst {twin} --length 4",
+    "language --subst {twin} --length 4 --format json",
     # direct factor counts at lengths where the count, not the words, matters
     "complexity --subst tm --upto 200 --method direct",
     "complexity --subst {fib} --upto 200",
