@@ -95,6 +95,7 @@ def cmd_fixedpoint(args) -> int:
 def cmd_language(args) -> int:
     subst, _ = resolve_substitution(args.subst)
     lang = language(subst, args.length)
+    _periodicity_label(subst, args.format)
     if args.format == "json":
         words = [format_word(w, subst.size) for w in lang.words]
         _emit(_json({"n": lang.n, "count": len(words), "words": words}))
@@ -110,7 +111,8 @@ def _print_words(words, size: int) -> None:
 def _periodicity_label(subst: Substitution, fmt: str) -> list[str]:
     """The ``assumptions`` of a json answer on ``subst``, which has been
     answered, so it is primitive.  A uniform periodic input is named there,
-    or in a stderr note in the other formats."""
+    or in a stderr note in the other formats; commands whose json has no
+    ``assumptions`` call this for the note alone."""
     if subst.uniform:
         periodic, at = periodicity(subst)
         if periodic:
@@ -153,6 +155,7 @@ def cmd_winset(args) -> int:
     if args.choice_seq is None:
         maximal = [format_choices(m, subst.size) for m in winning_set(target).maximal]
         count = winning_set_cardinality(target)
+        _periodicity_label(subst, args.format)
         if args.format == "json":
             _emit(_json({"length": args.length, "count": count, "maximal": maximal}))
         else:
@@ -167,6 +170,7 @@ def cmd_winset(args) -> int:
         else:
             sys.stderr.write("lose: no strategy tree to export\n")
     verdict = "win" if outcome.win else "lose"
+    _periodicity_label(subst, args.format)
     if args.format == "json":
         _emit(_json({"choice_seq": args.choice_seq, "result": verdict}))
     else:
@@ -287,13 +291,17 @@ def cmd_delta(args) -> int:
     subst, _ = resolve_substitution(args.subst)
     method = cx.resolve_method(subst, args.method)
     delta = cx.delta_recurrence if method == "recurrence" else cx.delta_direct
-    _emit(str(delta(subst, args.n)))
+    value = delta(subst, args.n)
+    _periodicity_label(subst, "text")
+    _emit(str(value))
     return 0
 
 
 def cmd_complexity(args) -> int:
     subst, _ = resolve_substitution(args.subst)
-    _print_complexity(cx.complexity_table(subst, args.upto, args.method), args.format)
+    table = cx.complexity_table(subst, args.upto, args.method)
+    _periodicity_label(subst, args.format)
+    _print_complexity(table, args.format)
     return 0
 
 

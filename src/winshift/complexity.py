@@ -50,6 +50,7 @@ def delta_direct(subst: Substitution, n: int) -> int:
     """
     if n < 0:
         raise PreconditionError("length must be nonnegative")
+    subst.require("factor language computation", "primitive")
     if n == 0:
         return 1
     return factor_count(subst, n) - factor_count(subst, n - 1)

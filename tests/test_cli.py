@@ -191,9 +191,20 @@ def test_periodic_input_that_synchronizes_is_labelled(capsys, tmp_path):
         (["winshift", "--length", "6", "--format", "csv"], "n,sequence\n"),
         (["winshift", "--length", "6"], ""),
         (["winshift", "--table", "1..3"], "1: ◇\n"),
+        (["complexity", "--upto", "1"], "n,delta,f,method\n0,1,1,direct\n1,1,2,direct\n"),
+        (["delta", "--n", "4"], "0\n"),
+        (["winset", "--length", "4"], "2111\ncount = 2\n"),
+        (["winset", "--length", "4", "--choice-seq", "2111"], "win\n"),
+        (["language", "--length", "2"], "01\n10\n"),
     ):
         assert main([argv[0], "--subst", str(twin), *argv[1:]]) == 0
         assert tuple(capsys.readouterr()) == (out, f"note: {stall}\n")
+    # json without an assumptions field carries no note
+    for argv in (
+        ["complexity", "--upto", "2"], ["winset", "--length", "4"], ["language", "--length", "2"]
+    ):
+        assert main([argv[0], "--subst", str(twin), *argv[1:], "--format", "json"]) == 0
+        assert capsys.readouterr().err == ""
     for argv in (["syncdelay"], ["winshift", "--length", "6"]):
         assert main([argv[0], "--subst", str(twin), *argv[1:], "--format", "json"]) == 0
         captured = capsys.readouterr()
@@ -268,7 +279,6 @@ def test_verify_check_that_raises_is_a_failed_row(capsys, monkeypatch):
         # nothing built from the short sets may outlive the patch
         cli.shift._level.cache_clear()
         cli.shift._head_groups.cache_clear()
-        game._members.cache_clear()
     lines = out.splitlines()
     assert code == 3
     assert "FAIL    cardinality: winning set size 5 differs from target size 6" in lines

@@ -201,6 +201,17 @@ def test_recurrence_refuses_unmarked(ex42, ex46):
             complexity_table(subst, 6, "recurrence")
 
 
+def test_direct_counts_refuse_non_primitive_input_at_every_length():
+    # each letter maps into itself, so neither letter's images reach the other
+    split = make_substitution([(0, 0), (1, 1)])
+    for n in (0, 1, 4):
+        with pytest.raises(UnsupportedInputError, match="requires a primitive substitution"):
+            delta_direct(split, n)
+    for upto in (0, 3):
+        with pytest.raises(UnsupportedInputError, match="requires a primitive substitution"):
+            complexity_table(split, upto, "direct")
+
+
 def test_complexity_table_tm(tm):
     table = complexity_table(tm, 9, "recurrence")
     assert table.values == TM_VALUES[:10]

@@ -496,6 +496,38 @@ def test_a_failing_builder_restores_the_collector(collector):
     assert gc.isenabled() == collector
 
 
+def _distinct_targets(count: int, top: int) -> list[frozenset[Word]]:
+    """``count`` small targets of length-3 words over ``{0, top}``, none equal."""
+    cube = sorted(product((0, top), repeat=3))
+    return [frozenset(w for k, w in enumerate(cube) if i >> k & 1) for i in range(1, count + 1)]
+
+
+def test_solver_memo_keeps_at_most_32_targets():
+    import winshift.game as game
+
+    for X in _distinct_targets(40, 9):
+        winning_set_cardinality(X)
+    assert game._automaton.cache_info().currsize <= 32
+
+
+def test_an_evicted_target_solves_the_same_again():
+    import winshift.game as game
+
+    X = frozenset(product((0, 1, 2), repeat=4)) - {(2,) * 4, (0, 1, 2, 0), (1, 1, 0, 0)}
+    won, lost = (3, 3, 3, 2), (2, 3, 3, 3)
+
+    def answers():
+        return winning_set(X).maximal, member(X, won), member(X, lost), winning_members(X)
+
+    before = answers()
+    assert before[1].win and not before[2].win
+    for Y in _distinct_targets(40, 12):
+        winning_set_cardinality(Y)
+    misses = game._automaton.cache_info().misses
+    assert answers() == before
+    assert game._automaton.cache_info().misses == misses + 1  # X was solved afresh
+
+
 # Certificates on long games and malformed input: no recursion, no expansion
 # of exponentially many plays, and a plain False for a table that is wrong.
 
