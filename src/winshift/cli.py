@@ -11,24 +11,17 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
 from functools import cache
 
 from . import complexity as cx
 from . import gtm as gtm_mod
-from . import shift
+from . import shift, verify
 from .catalog import gtm_parameters, resolve_substitution, substitution_to_dict
-from .errors import InternalConsistencyError, PreconditionError, WinshiftError
-from .game import StrategyTree, member, winning_members, winning_set, winning_set_cardinality
+from .errors import PreconditionError, WinshiftError
+from .game import StrategyTree, member, winning_set, winning_set_cardinality
 from .recognizability import periodicity, sync_delay
-from .substitution import (
-    Substitution,
-    fixed_point_prefix,
-    language,
-    periodicity_probe,
-)
-from .tm_reference import WILDCARD, expand_row
-from .words import ChoiceSequence, format_choices, format_word, parse_choices
+from .substitution import Substitution, fixed_point_prefix, language
+from .words import WILDCARD, ChoiceSequence, format_choices, format_word, parse_choices
 
 _SYNC_CAP_ENV = "WINSHIFT_SYNC_CAP"
 
@@ -324,30 +317,6 @@ def _print_complexity(table: cx.ComplexityTable, fmt: str, verdict: str | None =
     _emit("\n".join(lines))
 
 
-def _gtm_form(kind: str, b: int, m: int, n: int | None):
-    """One gtm quantity as (what is shown, its closed form, the generic pipeline).
-
-    The closed form is computed first, so periodic (b, m) fail before any
-    substitution is built.  The generic pipeline maps the substitution to
-    the value the closed form must equal; it looks its functions up in
-    this module when called.
-    """
-    if kind == "factors":
-        words = gtm_mod.gtm_factors(b, m, n)
-        return sorted(words), words, lambda s: language(s, n).word_set
-    if kind == "syncdelay":
-        delay = gtm_mod.gtm_sync_delay(b, m)
-        return delay, delay, lambda s: sync_delay(s).delay
-    if kind == "winshift":
-        rows = gtm_mod.gtm_irreducibles(b, m, n)
-        return rows, rows, lambda s: shift.enumerate_irreducible(s, n)
-    if kind == "delta":
-        value = gtm_mod.gtm_delta(b, m, n)
-        return value, value, lambda s: cx.delta_direct(s, n)
-    table = gtm_mod.gtm_complexity_table(b, m, n)
-    return table, table.values, lambda s: cx.complexity_table(s, n, "direct").values
-
-
 def cmd_gtm(args) -> int:
     b, m, kind = args.b, args.m, args.gtm_command
     if kind == "word":
@@ -355,15 +324,7 @@ def cmd_gtm(args) -> int:
             raise PreconditionError("prefix length must be nonnegative")
         _emit(format_word(tuple(gtm_mod.gtm_letter(b, m, i) for i in range(args.size)), m))
         return 0
-    shown, closed, generic = _gtm_form(kind, b, m, args.size)
-    verdict = None
-    if args.verify:
-        try:
-            same = generic(gtm_mod.gtm_substitution(b, m)) == closed
-        except InternalConsistencyError as exc:
-            verdict = f"VERIFY FAIL: the {kind} pipeline failed: {exc}"
-        else:
-            verdict = "ok" if same else f"VERIFY FAIL: closed-form {kind} differs from the pipeline"
+    shown, verdict = verify.gtm_answer(kind, b, m, args.size, args.verify)
     if kind == "complexity":
         _print_complexity(shown, args.format, verdict)
     elif kind == "factors":
@@ -377,159 +338,12 @@ def cmd_gtm(args) -> int:
     return 0 if verdict in (None, "ok") else 3
 
 
-# known values of the built-in substitutions, checked by verify
-_KNOWN_FACTS = {
-    "tm": {"delay": 4, "table": True},
-    "ex42": {"delay": 5, "deltas": {6: 4, 14: 5}},
-    "ex46": {"delay": 6, "membership": (7, (3, 1, 1, 1, 1, 1, 2))},
-}
-
-
-def run_verify(
-    subst: Substitution, builtin: str | None, gtm: tuple[int, int] | None, depth: int
-) -> list[tuple[str, str, str]]:
-    """Cross-check the pipelines on ``subst`` as (status, check, detail) rows;
-    ``builtin`` names the known facts to check, ``gtm`` = (b, m) adds the
-    closed forms.
-
-    The periodicity row comes first, and periodic input ends the run there
-    with a failed row.  Uniform input reads the exact verdict; other input
-    has no interpretations, so a scan of the factor counts to length 64
-    stands in for it.  Every later row comes from one
-    (name, check) pair, in order: a str check is the reason the row is
-    skipped, and a callable check returns (passed, detail).  A check that
-    raises :class:`InternalConsistencyError` is a failed row with the error
-    as its detail, and the checks after it still run.  A known fact the
-    input lacks gives no row.
-    """
-    if subst.uniform:
-        periodic, at = periodicity(subst)
-        aperiodic = f"aperiodic: every word of length {at} is recognized"
-    else:
-        probe = periodicity_probe(subst, 64)
-        periodic, at = probe.periodic, probe.detected_at
-        aperiodic = f"aperiodic up to {probe.bound}"
-    if periodic:
-        return [("fail", "periodicity-probe", f"periodic: complexity stalls at {at}")]
-
-    facts = {"delay": gtm_mod.gtm_sync_delay(*gtm)} if gtm else _KNOWN_FACTS.get(builtin, {})
-    # only uniform input has a delay, and only checks on uniform input read it
-    delay = sync_delay(subst).delay if subst.uniform else None
-    M = subst.uniform_length
-    marked = subst.uniform and subst.marked
-
-    def cardinality():
-        # winning_set_cardinality raises unless |W| = |X|
-        for n in range(1, min(depth, 14) + 1):
-            winning_set_cardinality(language(subst, n).words)
-        return True, f"|W| = |X| for n <= {min(depth, 14)}"
-
-    def downward_closure():
-        ok = True
-        for n in range(1, min(depth, 8) + 1):
-            members = winning_members(language(subst, n).words)
-            ok &= all(
-                alpha[:p] + (letter - 1,) + alpha[p + 1:] in members
-                for alpha in members
-                for p, letter in enumerate(alpha)
-                if letter > 1
-            )
-        return ok, f"n <= {min(depth, 8)}"
-
-    def substitutive_vs_brute():
-        ok = all(
-            shift.enumerate_irreducible(subst, n, "brute")
-            == shift.enumerate_irreducible(subst, n, "substitutive")
-            for n in range(delay + 1, delay + 2 * M + 1)
-        )
-        return ok, f"lengths {delay + 1}..{delay + 2 * M}"
-
-    def delta_recurrence():
-        # bounded: direct counts to 10^5 letters still cost seconds and hundreds of MB
-        bound = min(depth, 64)
-        ok = all(
-            cx.delta_recurrence(subst, n) == cx.delta_direct(subst, n) for n in range(1, bound + 1)
-        )
-        return ok, f"n <= {bound}"
-
-    def decomposition_form():
-        ok = True
-        for n in range(delay + 1, delay + M + 1):
-            for alpha in sorted(shift.enumerate_irreducible(subst, n, "auto"))[:6]:
-                ok &= shift.verify_form(subst, alpha)
-                shift.choice_decomposition(subst, alpha, verify=True)
-        return ok, "sampled winning sequences past the delay"
-
-    def known_deltas():
-        deltas = facts["deltas"]
-        return all(cx.delta_direct(subst, n) == v for n, v in deltas.items()), str(deltas)
-
-    def known_membership():
-        n, alpha = facts["membership"]
-        outcome = member(language(subst, n).words, alpha, alphabet_size=subst.size)
-        return outcome.win, f"{format_choices(alpha, subst.size)} at length {n}"
-
-    def gtm_closed_forms():
-        forms = [_gtm_form("complexity", *gtm, min(depth, 12))]
-        forms += [_gtm_form("factors", *gtm, n) for n in (2, 3)]
-        forms += [_gtm_form("winshift", *gtm, n) for n in range(1, min(depth, 20) + 1)]
-        ok = all(closed == generic(subst) for _, closed, generic in forms)
-        return ok, f"diffs up to depth {min(depth, 20)}"
-
-    def tm_reference_table():
-        ok = all(
-            expand_row(n, subst.size) == shift.enumerate_irreducible(subst, n)
-            for n in range(1, min(depth, 24) + 1)
-        )
-        return ok, f"rows 1..{min(depth, 24)}"
-
-    checks: list[tuple[str, str | Callable[[], tuple[bool, str]]]] = []
-    if not subst.uniform:
-        checks.append(("known-delay", "not uniform"))
-    elif "delay" in facts:
-        checks.append(("known-delay", lambda: (delay == facts["delay"], f"L = {delay}")))
-    checks += [
-        ("cardinality", cardinality),
-        ("downward-closure", downward_closure),
-        ("substitutive-vs-brute", substitutive_vs_brute if marked else "not marked"),
-        ("delta-recurrence", delta_recurrence if marked else "not marked"),
-        (
-            "decomposition-form",
-            decomposition_form if subst.uniform and subst.left_marked else "not left-marked",
-        ),
-    ]
-    if "deltas" in facts:
-        checks.append(("known-deltas", known_deltas))
-    if "membership" in facts:
-        checks.append(("known-membership", known_membership))
-    checks += [
-        ("gtm-closed-forms", gtm_closed_forms if gtm else "not a gtm substitution"),
-        (
-            "tm-reference-table",
-            tm_reference_table if facts.get("table") else "reference rows cover tm only",
-        ),
-    ]
-
-    rows = [("pass", "periodicity-probe", aperiodic)]
-    for name, check in checks:
-        if isinstance(check, str):
-            rows.append(("skipped", name, check))
-            continue
-        try:
-            passed, detail = check()
-        except InternalConsistencyError as exc:
-            passed, detail = False, str(exc)
-        rows.append(("pass" if passed else "fail", name, detail))
-    return rows
-
-
 def cmd_verify(args) -> int:
     gtm = gtm_parameters(args.subst) if args.subst else (args.b, args.m)
     subst = gtm_mod.gtm_substitution(*gtm) if gtm else resolve_substitution(args.subst)[0]
-    checks = run_verify(subst, args.subst, gtm, args.depth)
-    failed = [check for check in checks if check[0] == "fail"]
-    for status, name, detail in checks:
-        _emit(f"{status.upper():7s} {name}: {detail}")
+    rows = verify.run(subst, args.subst, gtm, args.depth)
+    failed = any(status == "fail" for status, _, _ in rows)
+    _emit_lines(f"{status.upper():7s} {name}: {detail}" for status, name, detail in rows)
     _emit(f"overall: {'fail' if failed else 'pass'}")
     return 3 if failed else 0
 

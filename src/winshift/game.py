@@ -295,6 +295,26 @@ def suffix_first_letters(X) -> dict[ChoiceSequence, tuple[int, ...]]:
     return {automaton.spell(beta): tuple(cs) for beta, cs in letters.items()}
 
 
+def _same_certificate(self, other) -> bool:
+    """Equality of two strategy trees, or of two refutations, node pair by node
+    pair from a stack: each pair is compared once, so a long game does not
+    recurse and a shared continuation is not compared again.  ``repr`` shows
+    a certificate's root alone, for the same reason."""
+    if type(other) is not type(self):
+        return NotImplemented
+    seen, stack = set(), [(self, other)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        (held, kids), (other_held, other_kids) = x._parts(), y._parts()
+        if held != other_held or kids.keys() != other_kids.keys():
+            return False
+        stack.extend((kid, other_kids[key]) for key, kid in kids.items())
+    return True
+
+
 @dataclass
 class StrategyTree:
     """One node of Alice's strategy: the offered subset and a child per letter.
@@ -304,22 +324,32 @@ class StrategyTree:
     """
 
     offer: tuple[int, ...]
-    children: dict[int, "StrategyTree"] = field(default_factory=dict)
+    children: dict[int, "StrategyTree"] = field(default_factory=dict, repr=False)
+    __eq__ = _same_certificate
 
     @property
     def is_leaf(self) -> bool:
         return not self.offer
+
+    def _parts(self):
+        return self.offer, self.children
 
 
 @dataclass
 class Refutation:
     """Bob's answer table: for every subset Alice may offer, his pick and the continuation."""
 
-    responses: dict[tuple[int, ...], tuple[int, "Refutation"]] = field(default_factory=dict)
+    responses: dict[tuple[int, ...], tuple[int, "Refutation"]] = field(
+        default_factory=dict, repr=False
+    )
+    __eq__ = _same_certificate
 
     @property
     def is_leaf(self) -> bool:
         return not self.responses
+
+    def _parts(self):
+        return (), {(offered, c): child for offered, (c, child) in self.responses.items()}
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,7 @@ results are dropped, which only matters at length 1).
 
 from __future__ import annotations
 
-from .words import ChoiceSequence, is_irreducible, parse_choices
-
-WILDCARD = "◇"
+from .words import WILDCARD, ChoiceSequence, is_irreducible, parse_choices
 
 THUE_MORSE_ROWS: dict[int, tuple[str, ...]] = {
     1: ("◇",),

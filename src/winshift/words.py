@@ -74,6 +74,10 @@ def parse_word(text: str, alphabet_size: int) -> Word:
     return letters
 
 
+# the first letter of a table row that stands for every first letter
+WILDCARD = "◇"
+
+
 def format_choices(seq: ChoiceSequence, alphabet_size: int) -> str:
     """Choice sequences are spelled like words, see :func:`format_word`."""
     return format_word(seq, alphabet_size)

@@ -5,7 +5,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from winshift import SyncDelay
+from winshift import SyncDelay, verify
 from winshift.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -250,7 +250,7 @@ def test_gtm_verify_mismatch_is_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["verify"].startswith("VERIFY FAIL")
-    monkeypatch.setattr(cli, "sync_delay", lambda subst: SyncDelay(99, None, frozenset()))
+    monkeypatch.setattr(verify, "sync_delay", lambda subst: SyncDelay(99, None, frozenset()))
     code, out = run(capsys, "gtm", "--b", "2", "--m", "2", "syncdelay", "--verify")
     assert code == 3
     assert out.startswith("L = 4\nVERIFY FAIL")
@@ -368,8 +368,6 @@ def test_failed_output_write_is_a_domain_error(capsys, tmp_path):
 
 
 def test_periodic_input_names_the_stall(capsys, monkeypatch):
-    import winshift.cli as cli
-
     # gtm:3,2 is periodic (b = 1 mod m): no synchronization cap can help
     for argv in (
         ["winshift", "--subst", "gtm:3,2", "--length", "5"],
@@ -391,7 +389,7 @@ def test_periodic_input_names_the_stall(capsys, monkeypatch):
     assert main(["syncdelay", "--subst", "tm", "--cap", "2"]) == 1
     assert "raise the cap" in capsys.readouterr().err
     # the success path never runs the probe
-    monkeypatch.setattr(cli, "periodicity_probe", None)
+    monkeypatch.setattr(verify, "periodicity_probe", None)
     code, out = run(capsys, "winshift", "--subst", "tm", "--length", "10")
     assert (code, out) == (0, "◇111111112\n◇211111112\n")
 

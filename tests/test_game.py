@@ -1,4 +1,5 @@
 import gc
+import time
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
@@ -585,6 +586,39 @@ def test_branch_profile_of_long_strategy():
     node.children[1] = StrategyTree(())
     altered = chain(1000, (2, ((), chain(198))))
     assert same_nested(branch_profile(tree), (2, (chain(1199), altered)))
+
+
+def test_long_strategies_compare_and_print_without_recursion():
+    X = frozenset({(0,) * 1500, (1,) * 1500})
+    alpha = (2,) + (1,) * 1499
+    a, b = member(X, alpha), member(X, alpha)
+    assert a.strategy is not b.strategy and a == b
+    assert repr(a.strategy) == "StrategyTree(offer=(0, 1))"
+    # one leaf 1499 rounds down differs
+    node = b.strategy.children[1]
+    while not node.is_leaf:
+        node = node.children[node.offer[0]]
+    node.offer, node.children = (1,), {1: StrategyTree(())}
+    assert a != b
+
+
+def test_shared_refutations_compare_once_per_node_pair():
+    # compared as trees, these took about a second: every play was walked
+    X = frozenset(w for w in product(range(8), repeat=4) if w[-1] == 0)
+    alpha = (3, 3, 3, 2)
+    a, b = member(X, alpha, alphabet_size=8), member(X, alpha, alphabet_size=8)
+    assert not a.win and a.refutation is not b.refutation
+    start = time.perf_counter()
+    assert a == b
+    assert time.perf_counter() - start < 0.1
+    assert repr(a.refutation) == "Refutation()"
+    # one pick in the last round differs
+    node = b.refutation
+    for _ in range(3):
+        node = next(iter(node.responses.values()))[1]
+    offered, (c, child) = next(iter(node.responses.items()))
+    node.responses[offered] = (offered[offered.index(c) - 1], child)
+    assert a != b
 
 
 @settings(max_examples=100, deadline=None)
