@@ -151,6 +151,33 @@ def test_max_first_choice(tm, gtm23):
     )
 
 
+def test_letters_no_state_interns_read_as_absent(tm, gtm23):
+    # A suffix letter outside 1..(number of target letters) is no choice
+    # letter any state can win with, whatever the sequence around it.
+    for subst in (tm, gtm23):
+        count = subst.size
+        for n in (4, 7):
+            X = language(subst, n).words
+            for u in suffix_first_letters(X):
+                for i in range(n - 1):
+                    for bad in (0, -1, -count, count + 1, count + 2, 2 * count + 1):
+                        v = u[:i] + (bad,) + u[i + 1:]
+                        assert max_first_choice(X, v) == (0, ()), (u, i, bad)
+
+
+def test_choice_letters_above_the_target_letter_count_lose(tm, gtm23):
+    # allowed by a larger explicit alphabet, but no state offers that many letters
+    for subst, size in ((tm, 5), (gtm23, 6)):
+        X = language(subst, 5).words
+        for a in sorted(winning_members(X)):
+            for i in range(5):
+                for big in range(subst.size + 1, size + 1):
+                    alpha = a[:i] + (big,) + a[i + 1:]
+                    outcome = member(X, alpha, alphabet_size=size)
+                    assert not outcome.win, alpha
+                    assert validate_refutation(outcome.refutation, X, alpha, size), alpha
+
+
 def test_suffix_first_letters_is_max_first_choice_on_every_suffix(tm, ex42, ex46, gtm23):
     for subst in (tm, ex42, ex46, gtm23, *random_marked(6, seed=20171)):
         for n in range(1, 11):
