@@ -16,17 +16,21 @@ length, and strategies and refutations walk the one transition table.
 Quotients of subshift languages collapse onto follower sets, so the
 automaton stays small.  The automaton is built from the trie of the sorted
 target, level by level, and winning sets are sets of hash-consed integer
-ids of choice sequences (a letter followed by the id of the rest), so no
-step copies or hashes a whole sequence: a state costs time in proportion
-to its children's winning sets, whatever the word length.  Maximal winning
-sequences are found on the same ids: a member is maximal iff none of its
-one-letter raises wins, which is exact for a downward closed set, and the
-raises of t.j are (t+1).j and t.r for each raise r of j, so one sweep in id
-order finds every id's raises without spelling a sequence.
+ids of choice sequences: the pair (letter t, id j of the rest) is the int
+``j * base + t``, so no step copies or hashes a whole sequence, and the
+pair index is an int-to-int dict that the cyclic collector never scans.  A
+state costs time in proportion to its children's winning sets, whatever the
+word length; states with equal winning sets share one frozenset.  Maximal
+winning sequences are found on the same ids: a member is maximal iff none
+of its one-letter raises wins, which is exact for a downward closed set, and
+the raises of t.j are (t+1).j and t.r for each raise r of j, so one sweep in
+id order finds every id's raises without spelling a sequence.  Certificates
+are slotted dataclasses, and a refutation builds each (letter, continuation)
+answer once and shares it among every offer and node that gives it.
 
 The builders (automaton, strategy, refutation, maximal sequences) run with
-the cyclic garbage collector paused.  They allocate one container per state,
-node or id and form no reference cycle, so reference counting frees all of
+the cyclic garbage collector paused.  They allocate one container per state
+or node and form no reference cycle, so reference counting frees all of
 it; left on, the collector would rescan these live containers again and
 again while they are built.  The caller's setting is restored on return;
 the switch is process-wide, so a thread that flips it while a builder runs
@@ -55,12 +59,17 @@ def _target_length(target: frozenset[Word]) -> int:
     return len(next(iter(target))) if target else 0
 
 
-def _infer_alphabet(target: frozenset[Word], alphabet_size: int | None) -> int:
-    if alphabet_size is not None:
-        if alphabet_size < 1:
-            raise PreconditionError("alphabet size must be >= 1")
-        return alphabet_size
-    return max((a for w in target for a in w), default=0) + 1
+def _infer_alphabet(letters: frozenset[int], alphabet_size: int | None) -> int:
+    """The alphabet size: the given one, which must hold every target letter,
+    else one more than the largest target letter."""
+    if alphabet_size is None:
+        return max(letters, default=0) + 1
+    if alphabet_size < 1:
+        raise PreconditionError("alphabet size must be >= 1")
+    for a in sorted(letters):
+        if not 0 <= a < alphabet_size:
+            raise PreconditionError(f"target letter {a} outside 0..{alphabet_size - 1}")
+    return alphabet_size
 
 
 def residual(X, c: int) -> frozenset[Word]:
@@ -82,33 +91,41 @@ class _Automaton:
     the quotient {()}; every other state is one distinct nonempty left
     quotient.  Ids grow bottom-up, so a state's children have smaller ids.
     ``delta[q]`` is the signature of q: its (letter, child) pairs in
-    ascending letter order.
+    ascending letter order.  ``letters`` are the letters of the target.
 
-    Winning sets hold hash-consed choice sequences: id 0 is ``()`` and
-    ``cons[i] == (t, j)`` says that sequence i is the letter t followed by
-    sequence j; ``ids`` maps each such pair back to i.  Equal sequences get
-    one id in every state, so ``wins[q]`` is a set of ints, and a sequence
-    is tested by interning its suffixes once.
+    Winning sets hold hash-consed choice sequences: id 0 is ``()`` and the
+    sequence t.j (the letter t followed by sequence j) is keyed by the int
+    ``j * base + t``.  ``base`` is one more than the number of target
+    letters, which bounds every choice letter a state can win with, so only
+    keys with ``0 < t < base`` are ever interned and the key is one-to-one.
+    ``ids`` maps each key to its id and ``cons[i]`` is the key of id i.
+    Equal sequences get one id in every state, so ``wins[q]`` is a set of
+    ints, and a sequence is tested by interning its suffixes once.  States
+    with equal winning sets share one frozenset.
     """
 
     root: int
     delta: tuple[tuple[tuple[int, int], ...], ...]
     wins: tuple[frozenset[int], ...]
-    cons: tuple[tuple[int, int], ...]
-    ids: dict[tuple[int, int], int]
+    letters: frozenset[int]
+    base: int
+    cons: list[int]
+    ids: dict[int, int]
 
     def suffix_ids(self, seq: ChoiceSequence) -> list[int]:
         """Ids of ``seq[i:]`` for i = 0..len(seq); ``_ABSENT`` where no state wins it."""
-        out = [0]
+        get, base, j, out = self.ids.get, self.base, 0, [0]
         for t in reversed(seq):
-            out.append(self.ids.get((t, out[-1]), _ABSENT))
+            # outside 0 < t < base the key would alias another pair's
+            j = get(j * base + t, _ABSENT) if 0 < t < base else _ABSENT
+            out.append(j)
         out.reverse()
         return out
 
     def spell(self, i: int) -> ChoiceSequence:
-        cons, letters = self.cons, []
+        cons, base, letters = self.cons, self.base, []
         while i:
-            t, i = cons[i]
+            i, t = divmod(cons[i], base)
             letters.append(t)
         return tuple(letters)
 
@@ -143,11 +160,15 @@ def _common_prefix(u: Word, v: Word) -> int:
 @lru_cache(maxsize=32)
 @_collector_paused
 def _automaton(target: frozenset[Word]) -> _Automaton:
+    letters = frozenset().union(*target)
+    base = len(letters) + 1
     delta: list[tuple[tuple[int, int], ...]] = [(), ()]
     wins: list[frozenset[int]] = [frozenset(), frozenset({0})]
-    # Pair (t, j) gets the next free id; ids are never reused, so ``cons``
-    # is the keys of ``ids`` in insertion order after the entry for ().
-    ids: dict[tuple[int, int], int] = {}
+    # equal winning sets, of any states, become one object
+    interned: dict[frozenset[int], frozenset[int]] = {w: w for w in wins}
+    # Key j * base + t gets the next free id; ids are never reused, so
+    # ``cons`` is the keys of ``ids`` in insertion order after the 0 of ().
+    ids: dict[int, int] = {}
     register: dict[tuple[tuple[int, int], ...], int] = {(): _ACCEPT}
 
     def state_of(signature: tuple[tuple[int, int], ...]) -> int:
@@ -158,20 +179,21 @@ def _automaton(target: frozenset[Word]) -> _Automaton:
             state = register[signature] = len(delta)
             delta.append(signature)
             # Backward induction: k.b wins iff b wins the quotient game for
-            # at least k distinct first letters.
+            # at least k distinct first letters; k <= len(signature) < base.
             if len(signature) == 1:
-                won = [ids.setdefault((1, beta), len(ids) + 1) for beta in wins[signature[0][1]]]
+                won = [ids.setdefault(beta * base + 1, len(ids) + 1) for beta in wins[signature[0][1]]]
             else:
                 counts: dict[int, int] = {}
                 for _, q in signature:
                     for beta in wins[q]:
                         counts[beta] = counts.get(beta, 0) + 1
                 won = [
-                    ids.setdefault((t, beta), len(ids) + 1)
+                    ids.setdefault(key, len(ids) + 1)
                     for beta, k in counts.items()
-                    for t in range(1, k + 1)
+                    for key in range(beta * base + 1, beta * base + k + 1)
                 ]
-            wins.append(frozenset(won))
+            won_set = frozenset(won)
+            wins.append(interned.setdefault(won_set, won_set))
         return state
 
     # Minimise the trie of the sorted target bottom-up by depth.  Its nodes
@@ -190,7 +212,7 @@ def _automaton(target: frozenset[Word]) -> _Automaton:
         cuts.append(len(pairs))
         states = [state_of(tuple(pairs[a:b])) for a, b in zip(cuts, cuts[1:])]
     root = states[0] if states else _DEAD
-    return _Automaton(root, tuple(delta), tuple(wins), ((0, 0), *ids), ids)
+    return _Automaton(root, tuple(delta), tuple(wins), letters, base, [0, *ids], ids)
 
 
 def winning_members(X) -> frozenset[ChoiceSequence]:
@@ -242,14 +264,17 @@ def _antichain(automaton: _Automaton) -> tuple[ChoiceSequence, ...]:
     # raises is.  The raises of t.j are (t+1).j and t.r for each raise r of
     # j.  A raise that wins the root has all its suffixes interned, so only
     # interned raises matter; every id comes after its tail, so one sweep
-    # over ``cons`` finds each id's interned raises.
-    get, wins = automaton.ids.get, automaton.wins[automaton.root]
+    # over ``cons`` finds each id's interned raises.  The key of (t+1).j is
+    # one more than that of t.j; for t + 1 = base it reads t = 0 of the next
+    # tail, which is never interned, so it is absent as it should be.
+    get, base, wins = automaton.ids.get, automaton.base, automaton.wins[automaton.root]
     raises: list[list[int]] = [[]]
-    for t, j in automaton.cons[1:]:
+    for key in automaton.cons[1:]:
+        j, t = divmod(key, base)
         below = raises[j]
         # most ids have no raise below them: build no list for those
-        up = [i for i in map(get, [(t, r) for r in below]) if i is not None] if below else []
-        i = get((t + 1, j))
+        up = [i for i in map(get, [r * base + t for r in below]) if i is not None] if below else []
+        i = get(key + 1)
         if i is not None:
             up.append(i)
         raises.append(up)
@@ -275,8 +300,8 @@ def max_first_choice(X, u, alphabet_size: int | None = None) -> tuple[int, tuple
     u = tuple(u)
     if target and len(u) != _target_length(target) - 1:
         raise PreconditionError("suffix must be one letter shorter than the target words")
-    size = _infer_alphabet(target, alphabet_size)
     automaton = _automaton(target)
+    size = _infer_alphabet(automaton.letters, alphabet_size)
     suffix = automaton.suffix_ids(u)[0]
     kids = dict(automaton.delta[automaton.root])
     winners = tuple(c for c in range(size) if suffix in automaton.wins[kids.get(c, _DEAD)])
@@ -315,7 +340,7 @@ def _same_certificate(self, other) -> bool:
     return True
 
 
-@dataclass
+@dataclass(slots=True)
 class StrategyTree:
     """One node of Alice's strategy: the offered subset and a child per letter.
 
@@ -335,7 +360,7 @@ class StrategyTree:
         return self.offer, self.children
 
 
-@dataclass
+@dataclass(slots=True)
 class Refutation:
     """Bob's answer table: for every subset Alice may offer, his pick and the continuation."""
 
@@ -373,9 +398,9 @@ def member(X, alpha, alphabet_size: int | None = None) -> MemberResult:
     """Decide whether Alice wins with ``alpha`` and certify the answer."""
     target = _as_target(X)
     alpha = tuple(alpha)
-    size = _infer_alphabet(target, alphabet_size)
-    _check_choices(target, alpha, size)
     automaton = _automaton(target)
+    size = _infer_alphabet(automaton.letters, alphabet_size)
+    _check_choices(target, alpha, size)
     suffixes = automaton.suffix_ids(alpha)
     if suffixes[0] in automaton.wins[automaton.root]:
         return MemberResult(True, strategy=_strategy(automaton, alpha, suffixes))
@@ -417,11 +442,15 @@ def _refutation(
 ) -> Refutation:
     # Bob answers each offer with its first letter whose quotient game loses
     # the rest.  Nodes are shared per (state, round): the round fixes the
-    # rest of alpha, so this is the memo on (quotient, rest of alpha).
+    # rest of alpha, so this is the memo on (quotient, rest of alpha).  A
+    # state other than _DEAD lies at one depth, so it fixes its round and
+    # keys its node alone; the dead node of round i is keyed -i.  Each
+    # (letter, node) answer is one tuple, keyed ``node key * size + letter``.
     wins = automaton.wins
     offers = {k: tuple(combinations(range(size), k)) for k in set(alpha)}
-    memo: dict[tuple[int, int], Refutation] = {}
-    root = memo[automaton.root, 0] = Refutation({})
+    root = Refutation({})
+    nodes = {automaton.root: root}
+    answers: dict[int, tuple[int, Refutation]] = {}
     pending = [(root, automaton.root, 0)]
     while pending:
         node, state, i = pending.pop()
@@ -437,11 +466,15 @@ def _refutation(
                     break
             else:
                 raise InternalConsistencyError("refutation requested for a winning sequence")
-            answer = memo.get((child, i + 1))
+            at = child or -i - 1
+            answer = answers.get(at * size + c)
             if answer is None:
-                answer = memo[child, i + 1] = Refutation({})
-                pending.append((answer, child, i + 1))
-            node.responses[offered] = (c, answer)
+                after = nodes.get(at)
+                if after is None:
+                    after = nodes[at] = Refutation({})
+                    pending.append((after, child, i + 1))
+                answer = answers[at * size + c] = (c, after)
+            node.responses[offered] = answer
     return root
 
 
@@ -563,7 +596,7 @@ def validate_refutation(ref: Refutation, X, alpha, alphabet_size: int | None = N
     """
     target = _as_target(X)
     alpha = tuple(alpha)
-    size = _infer_alphabet(target, alphabet_size)
+    size = _infer_alphabet(frozenset().union(*target), alphabet_size)
     _check_choices(target, alpha, size)
     seen: set[tuple[int, frozenset[Word]]] = set()
     stack = [(ref, target, 0)]

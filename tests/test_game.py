@@ -178,6 +178,23 @@ def test_choice_letters_above_the_target_letter_count_lose(tm, gtm23):
                     assert validate_refutation(outcome.refutation, X, alpha, size), alpha
 
 
+def test_target_letters_outside_an_explicit_alphabet_are_refused():
+    X = {(3,)}
+    for refused in (
+        lambda: member(X, (1,), alphabet_size=2),
+        lambda: max_first_choice(X, (), alphabet_size=2),
+        lambda: validate_refutation(Refutation(), X, (1,), 2),
+    ):
+        with pytest.raises(PreconditionError, match=r"target letter 3 outside 0\.\.1"):
+            refused()
+    with pytest.raises(PreconditionError, match=r"target letter -1 outside 0\.\.2"):
+        member({(0, -1)}, (1, 1), alphabet_size=3)
+    # an alphabet that holds every target letter is accepted
+    won = member(X, (1,), alphabet_size=4)
+    assert won.win and won.strategy.offer == (3,)
+    assert max_first_choice(X, (), alphabet_size=4) == (1, (3,))
+
+
 def test_suffix_first_letters_is_max_first_choice_on_every_suffix(tm, ex42, ex46, gtm23):
     for subst in (tm, ex42, ex46, gtm23, *random_marked(6, seed=20171)):
         for n in range(1, 11):
@@ -522,6 +539,47 @@ def test_a_failing_builder_restores_the_collector(collector):
     with pytest.raises(InternalConsistencyError, match="losing sequence"):
         game._strategy(automaton, losing, automaton.suffix_ids(losing))
     assert gc.isenabled() == collector
+
+
+def test_equal_winning_sets_are_one_object_and_ids_are_untracked(tm):
+    import winshift.game as game
+
+    for n in (8, 30):
+        automaton = game._automaton(language(tm, n).words)
+        wins = automaton.wins
+        assert len({id(w) for w in wins}) == len(set(wins)) < len(wins)
+        # ints to ints: the cyclic collector never scans the pair index
+        assert not gc.is_tracked(automaton.ids)
+
+
+def test_equal_answers_of_a_refutation_are_one_tuple(tm):
+    X = language(tm, 8).words
+    ref = member(X, (2, 2, 1, 1, 1, 1, 1, 2)).refutation
+    tuples, askers, seen, stack = {}, {}, set(), [ref]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for answer in node.responses.values():
+            c, child = answer
+            tuples.setdefault((c, id(child)), set()).add(id(answer))
+            askers.setdefault((c, id(child)), set()).add(id(node))
+            stack.append(child)
+    assert all(len(ids) == 1 for ids in tuples.values())
+    # not vacuous: some answer is given by several nodes
+    assert max(map(len, askers.values())) > 1
+
+
+def test_certificates_are_slotted():
+    X = frozenset({(0, 0), (1, 1)})
+    tree, ref = member(X, (2, 1)).strategy, member(X, (2, 2)).refutation
+    for node in (tree, ref, StrategyTree(()), Refutation()):
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.note = "no room for this"
+    tree.offer = (1, 0)
+    assert tree != member(X, (2, 1)).strategy
 
 
 def _distinct_targets(count: int, top: int) -> list[frozenset[Word]]:
