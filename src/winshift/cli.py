@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import chain
 
 from . import complexity as cx
 from . import gtm as gtm_mod
@@ -26,17 +27,29 @@ from .words import WILDCARD, ChoiceSequence, format_choices, format_word, parse_
 _SYNC_CAP_ENV = "WINSHIFT_SYNC_CAP"
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit_pieces(pieces) -> None:
+    """Write one answer in one call: a single join of ``pieces``, which hold
+    every newline, the last one included.  Every piece is built before
+    anything is written, so an answer that fails leaves stdout empty."""
+    sys.stdout.write("".join(pieces))
 
 
 def _emit_lines(lines) -> None:
-    """Write every line, each ending in a newline, in one call; none writes nothing."""
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    """Write every line, each ending in a newline; none writes nothing."""
+    _emit_pieces(piece for line in lines for piece in (line, "\n"))
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+def _emit(text: str) -> None:
+    _emit_pieces((text, "\n"))
+
+
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def _emit_json(obj) -> None:
+    """The JSON text of ``obj`` and its newline, joined once from the
+    encoder's chunks."""
+    _emit_pieces(chain(_JSON.iterencode(obj), ("\n",)))
 
 
 def _write(path: str, text: str) -> None:
@@ -63,18 +76,18 @@ def _flags(subst: Substitution) -> dict:
 def cmd_classify(args) -> int:
     subst, label = resolve_substitution(args.subst)
     if args.emit:
-        _write(args.emit, _json(substitution_to_dict(subst, label)) + "\n")
+        _write(args.emit, _JSON.encode(substitution_to_dict(subst, label)) + "\n")
     if args.format == "json":
         obj = substitution_to_dict(subst, label)
         obj["flags"] = _flags(subst)
-        _emit(_json(obj))
+        _emit_json(obj)
         return 0
     lines = [f"name: {label}", f"alphabet: {subst.size}"]
     for a in subst.letters:
         lines.append(f"  {a} -> {format_word(subst.image(a), subst.size)}")
     for key, value in _flags(subst).items():
         lines.append(f"{key}: {value}")
-    _emit("\n".join(lines))
+    _emit_lines(lines)
     return 0
 
 
@@ -91,14 +104,14 @@ def cmd_language(args) -> int:
     _periodicity_label(subst, args.format)
     if args.format == "json":
         words = [format_word(w, subst.size) for w in lang.words]
-        _emit(_json({"n": lang.n, "count": len(words), "words": words}))
+        _emit_json({"n": lang.n, "count": len(words), "words": words})
     else:
         _print_words(lang.words, subst.size)
     return 0
 
 
 def _print_words(words, size: int) -> None:
-    _emit("\n".join(format_word(w, size) for w in words))
+    _emit_lines(format_word(w, size) for w in words)
 
 
 def _periodicity_label(subst: Substitution, fmt: str) -> list[str]:
@@ -124,15 +137,13 @@ def cmd_syncdelay(args) -> int:
         format_word(result.witness, subst.size) if result.witness is not None else None
     )
     if args.format == "json":
-        _emit(
-            _json(
-                {
-                    "L": result.delay,
-                    "witness": witness,
-                    "offsets_of_witness": sorted(result.witness_offsets),
-                    "assumptions": assumptions,
-                }
-            )
+        _emit_json(
+            {
+                "L": result.delay,
+                "witness": witness,
+                "offsets_of_witness": sorted(result.witness_offsets),
+                "assumptions": assumptions,
+            }
         )
     else:
         _emit(f"L = {result.delay}")
@@ -150,9 +161,9 @@ def cmd_winset(args) -> int:
         count = winning_set_cardinality(target)
         _periodicity_label(subst, args.format)
         if args.format == "json":
-            _emit(_json({"length": args.length, "count": count, "maximal": maximal}))
+            _emit_json({"length": args.length, "count": count, "maximal": maximal})
         else:
-            _emit("\n".join(maximal + [f"count = {count}"]))
+            _emit_lines(maximal + [f"count = {count}"])
         return 0
     alpha = parse_choices(args.choice_seq, subst.size)
     outcome = member(target, alpha, alphabet_size=subst.size)
@@ -165,15 +176,17 @@ def cmd_winset(args) -> int:
     verdict = "win" if outcome.win else "lose"
     _periodicity_label(subst, args.format)
     if args.format == "json":
-        _emit(_json({"choice_seq": args.choice_seq, "result": verdict}))
+        _emit_json({"choice_seq": args.choice_seq, "result": verdict})
     else:
         _emit(verdict)
     return 0
 
 
+@cache
 def _text_spelling(m: int):
     """``spell_suffixes`` spellers for the text of :func:`format_choices`, each
-    letter with the separator before it: none up to 9 letters, a comma above."""
+    letter with the separator before it: none up to 9 letters, a comma above.
+    Built once per alphabet size, so a table reuses them at every length."""
     if m <= 9:
         def stretch(text: str, M: int) -> str:
             body = bytearray(b"1") * ((len(text) - 1) * M + 1)
@@ -221,25 +234,51 @@ def compress(sequences, m: int) -> tuple[str, ...]:
     return tuple(_format_rows(tails, m))
 
 
+def _row_parts(groups, m: int):
+    """(lead, tail) of every row of :func:`compress`, from (suffix text,
+    ascending first letters) pairs in suffix order; the lead is the
+    wildcard or one first letter, and the tail is the suffix text itself."""
+    for tail, firsts in groups:
+        # At length 1 (no tail) the first letter is also the last, so 1 is
+        # reducible and a wildcard row can only ever cover 2..m.  Distinct
+        # ascending letters from low to m, as many as low..m, are low..m.
+        low = 1 if tail else 2
+        if firsts[0] == low and firsts[-1] == m and len(firsts) == m + 1 - low:
+            yield WILDCARD, tail
+        else:
+            for first in firsts:
+                yield str(first), tail
+
+
 def _format_rows(groups, m: int) -> list[str]:
     """The rows of :func:`compress` from (suffix text, ascending first letters)
     pairs in suffix order."""
-    rows: list[str] = []
-    for tail, firsts in groups:
-        # At length 1 (no tail) the first letter is also the last, so 1 is
-        # reducible and a wildcard row can only ever cover 2..m.
-        if list(firsts) == list(range(1 if tail else 2, m + 1)):
-            rows.append(WILDCARD + tail)
-        else:
-            rows.extend(f"{first}{tail}" for first in firsts)
-    return rows
+    return [lead + tail for lead, tail in _row_parts(groups, m)]
+
+
+def _sorted_parts(groups):
+    """(first letter, suffix text) of every sequence of the (suffix text,
+    range of first letters) pairs, in sorted order: first letter, then suffix."""
+    top = max((firsts[-1] for _, firsts in groups if firsts), default=0)
+    for t in range(1, top + 1):
+        lead = str(t)
+        for tail, firsts in groups:
+            if t in firsts:
+                yield lead, tail
 
 
 def _spell_sorted(groups) -> list[str]:
     """Every sequence of the (suffix text, range of first letters) pairs
     spelled, in sorted order: first letter, then suffix."""
-    top = max((firsts[-1] for _, firsts in groups if firsts), default=0)
-    return [f"{t}{tail}" for t in range(1, top + 1) for tail, firsts in groups if t in firsts]
+    return [lead + tail for lead, tail in _sorted_parts(groups)]
+
+
+def _add_lines(pieces: list[str], parts, label: str = "") -> list[str]:
+    """``pieces`` grown by one line per (lead, tail) part: ``label``, lead,
+    tail and a newline, each an existing string that is not copied."""
+    for lead, tail in parts:
+        pieces += (label, lead, tail, "\n")
+    return pieces
 
 
 def cmd_winshift(args) -> int:
@@ -247,36 +286,34 @@ def cmd_winshift(args) -> int:
     m = subst.size
     if args.table:
         low, high = args.table
-        # each base level is spelled once for the whole table; every row is
-        # built before any is written, so a failing length leaves stdout empty
+        # each base level is spelled once for the whole table, and its rows'
+        # pieces are joined once every length is built, so a failing length
+        # leaves stdout empty
         spelled: dict = {}
-        lines = [
-            f"{n}: {row}"
-            for n in range(low, high + 1)
-            for row in _format_rows(_level_rows(subst, n, args.method, spelled), m)
-        ]
+        pieces: list[str] = []
+        for n in range(low, high + 1):
+            rows = _row_parts(_level_rows(subst, n, args.method, spelled), m)
+            _add_lines(pieces, rows, f"{n}: ")
         _periodicity_label(subst, args.format)
-        _emit_lines(lines)
+        _emit_pieces(pieces)
         return 0
     groups = _level_rows(subst, args.length, args.method)
     assumptions = _periodicity_label(subst, args.format)
     if args.format == "text":
-        _emit_lines(_format_rows(groups, m))
+        _emit_pieces(_add_lines([], _row_parts(groups, m)))
         return 0
-    ordered = _spell_sorted(groups)
     if args.format == "json":
-        _emit(
-            _json(
-                {
-                    "length": args.length,
-                    "irreducible": ordered,
-                    "count": len(ordered),
-                    "assumptions": assumptions,
-                }
-            )
+        ordered = _spell_sorted(groups)
+        _emit_json(
+            {
+                "length": args.length,
+                "irreducible": ordered,
+                "count": len(ordered),
+                "assumptions": assumptions,
+            }
         )
-    else:
-        _emit("\n".join(["n,sequence"] + [f"{args.length},{r}" for r in ordered]))
+        return 0
+    _emit_pieces(_add_lines(["n,sequence\n"], _sorted_parts(groups), f"{args.length},"))
     return 0
 
 
@@ -309,12 +346,12 @@ def _print_complexity(table: cx.ComplexityTable, fmt: str, verdict: str | None =
         }
         if verdict is not None:
             obj["verify"] = verdict
-        _emit(_json(obj))
+        _emit_json(obj)
         return
-    lines = ["n,delta,f,method"]
-    for n in range(table.upto + 1):
-        lines.append(f"{n},{table.deltas[n]},{table.values[n]},{table.methods[n]}")
-    _emit("\n".join(lines))
+    rows = (
+        f"{n},{table.deltas[n]},{table.values[n]},{table.methods[n]}" for n in range(table.upto + 1)
+    )
+    _emit_lines(chain(("n,delta,f,method",), rows))
 
 
 def cmd_gtm(args) -> int:

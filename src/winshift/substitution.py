@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -173,12 +173,10 @@ class FactorLanguage:
     n: int
     words: tuple[Word, ...]
 
-    @cached_property
-    def word_set(self) -> frozenset[Word]:
-        return frozenset(self.words)
-
     def __contains__(self, w: Word) -> bool:
-        return w in self.word_set
+        # the words are sorted, so one bisection finds w or where it would be
+        i = bisect_left(self.words, w)
+        return i < len(self.words) and self.words[i] == w
 
     def __len__(self) -> int:
         return len(self.words)

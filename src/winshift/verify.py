@@ -50,7 +50,7 @@ def _gtm_form(kind: str, b: int, m: int, n: int | None):
     """
     if kind == "factors":
         words = gtm_mod.gtm_factors(b, m, n)
-        return sorted(words), words, lambda s: language(s, n).word_set
+        return sorted(words), words, lambda s: frozenset(language(s, n).words)
     if kind == "syncdelay":
         delay = gtm_mod.gtm_sync_delay(b, m)
         return delay, delay, lambda s: sync_delay(s).delay

@@ -1,9 +1,13 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from winshift import SyncDelay, verify
 from winshift.cli import main
@@ -35,6 +39,54 @@ def test_winshift_table(capsys):
     code, out = run(capsys, "winshift", "--subst", "tm", "--table", "4..5")
     assert code == 0
     assert out.splitlines() == ["4: ◇112", "4: ◇212", "5: ◇1112"]
+
+
+class _KeptWrites:
+    """A stdout that keeps each written string by reference: the capture
+    copies nothing, so a peak counts only what the command built
+    (``io.StringIO`` copies a write from Python 3.12 on)."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "winshift --subst tm --table 1..400",
+        "winshift --subst gtm:2,11 --table 1..200",
+        "winshift --subst tm --length 5000",
+    ],
+)
+def test_answer_text_is_not_copied_row_by_row(command):
+    # A warm run holds the spelled suffixes and one join of the answer:
+    # about 1.6-2x the answer's size.  Copying each row into a line and
+    # each line again with its newline peaked at 3.6-4.2x.
+    def traced_run():
+        out = _KeptWrites()
+        with contextlib.redirect_stdout(out):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(command.split()) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        # the whole answer in one write, so a failure leaves stdout empty
+        assert len(out.parts) == 1
+        return peak, out.parts[0]
+
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        traced_run()  # the levels are cached from here on
+        peak, text = traced_run()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert text
+    assert peak <= 2.5 * sys.getsizeof(text)
 
 
 def test_syncdelay_text_and_json(capsys):

@@ -9,6 +9,8 @@ spelling of ``irreducible_groups`` is spelled again by ``format_choices``,
 and brute force is the independent check of the levels.
 """
 
+import json
+
 import pytest
 from conftest import random_marked
 
@@ -20,6 +22,7 @@ from winshift import (
     make_substitution,
 )
 from winshift import cli
+from winshift.catalog import substitution_to_dict
 from winshift.cli import compress
 from winshift.shift import irreducible_groups
 from winshift.tm_reference import WILDCARD, expand_pattern
@@ -122,3 +125,23 @@ def test_rows_above_nine_letters_read_back():
         rows = compress(sequences, 11)
         assert frozenset().union(*(expand_pattern(r, 11) for r in rows)) == sequences
     assert compress({(10,)}, 11) == ("10",)
+
+
+@pytest.mark.parametrize("subst", SUBSTS)
+def test_table_blocks_are_the_length_answers(subst, tmp_path, capsys):
+    # the table writer and the --length writer are separate loops; each
+    # block "n: row" of the table is the --length n answer, line by line
+    path = tmp_path / "subst.json"
+    path.write_text(json.dumps(substitution_to_dict(subst)))
+
+    def answer(*option):
+        assert cli.main(["winshift", "--subst", str(path), *option]) == 0
+        return capsys.readouterr().out
+
+    top = LONG_N if subst.uniform and subst.marked else MAX_N
+    table = answer("--table", f"1..{top}")
+    assert table == "".join(
+        f"{n}: {row}\n"
+        for n in range(1, top + 1)
+        for row in answer("--length", str(n)).splitlines()
+    )
