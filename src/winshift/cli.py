@@ -21,7 +21,7 @@ from .catalog import gtm_parameters, resolve_substitution, substitution_to_dict
 from .errors import PreconditionError, WinshiftError
 from .game import StrategyTree, member, winning_set, winning_set_cardinality
 from .recognizability import periodicity, sync_delay
-from .substitution import Substitution, fixed_point_prefix, language
+from .substitution import Substitution, fixed_point_prefix, language, require_factor_length
 from .words import WILDCARD, ChoiceSequence, format_choices, format_word, parse_choices
 
 _SYNC_CAP_ENV = "WINSHIFT_SYNC_CAP"
@@ -155,8 +155,8 @@ def cmd_syncdelay(args) -> int:
 
 def cmd_winset(args) -> int:
     subst, _ = resolve_substitution(args.subst)
-    target = language(subst, args.length).words
     if args.choice_seq is None:
+        target = language(subst, args.length).words
         maximal = [format_choices(m, subst.size) for m in winning_set(target).maximal]
         count = winning_set_cardinality(target)
         _periodicity_label(subst, args.format)
@@ -165,8 +165,13 @@ def cmd_winset(args) -> int:
         else:
             _emit_lines(maximal + [f"count = {count}"])
         return 0
+    # the sequence is checked before L_n is built: a mismatched one is
+    # refused however long the target words would be
+    require_factor_length(subst, args.length)
     alpha = parse_choices(args.choice_seq, subst.size)
-    outcome = member(target, alpha, alphabet_size=subst.size)
+    if len(alpha) != args.length:
+        raise PreconditionError("choice sequence length must match the target word length")
+    outcome = member(language(subst, args.length).words, alpha, alphabet_size=subst.size)
     # the tree is written first, so a failed write leaves stdout empty
     if args.export_dot:
         if outcome.win:

@@ -28,6 +28,14 @@ id order finds every id's raises without spelling a sequence.  Certificates
 are slotted dataclasses, and a refutation builds each (letter, continuation)
 answer once and shares it among every offer and node that gives it.
 
+In a refutation Bob answers an offer with a dead letter, one with no
+transition from the current state, whenever the offer holds one, and else
+with the first letter whose quotient game loses the rest.  This is sound:
+after a dead letter the quotient is empty and wins nothing, so the play ends
+outside the target whatever follows.  The play then stays in the one dead
+node of each later round, so Bob opens new nodes in the language only where
+every offered letter keeps him there.
+
 The builders (automaton, strategy, refutation, maximal sequences) run with
 the cyclic garbage collector paused.  They allocate one container per state
 or node and form no reference cycle, so reference counting frees all of
@@ -440,12 +448,16 @@ def _strategy(automaton: _Automaton, alpha: ChoiceSequence, suffixes: list[int])
 def _refutation(
     automaton: _Automaton, alpha: ChoiceSequence, suffixes: list[int], size: int
 ) -> Refutation:
-    # Bob answers each offer with its first letter whose quotient game loses
-    # the rest.  Nodes are shared per (state, round): the round fixes the
-    # rest of alpha, so this is the memo on (quotient, rest of alpha).  A
-    # state other than _DEAD lies at one depth, so it fixes its round and
-    # keys its node alone; the dead node of round i is keyed -i.  Each
-    # (letter, node) answer is one tuple, keyed ``node key * size + letter``.
+    # Bob answers each offer with its first dead letter, one with no
+    # transition from the state, if it holds one: the play has then left
+    # the target whatever follows, since wins[_DEAD] is empty.  Only when
+    # every offered letter is live does he pick the first one whose
+    # quotient game loses the rest.  Nodes are shared per (state, round):
+    # the round fixes the rest of alpha, so this is the memo on (quotient,
+    # rest of alpha).  A state other than _DEAD lies at one depth, so it
+    # fixes its round and keys its node alone; the dead node of round i is
+    # keyed -i.  Each (letter, node) answer is one tuple, keyed
+    # ``node key * size + letter``.
     wins = automaton.wins
     offers = {k: tuple(combinations(range(size), k)) for k in set(alpha)}
     root = Refutation({})
@@ -461,11 +473,16 @@ def _refutation(
         rest, kids = suffixes[i + 1], dict(automaton.delta[state])
         for offered in offers[alpha[i]]:
             for c in offered:
-                child = kids.get(c, _DEAD)
-                if rest not in wins[child]:
+                if c not in kids:
+                    child = _DEAD
                     break
             else:
-                raise InternalConsistencyError("refutation requested for a winning sequence")
+                for c in offered:
+                    child = kids[c]
+                    if rest not in wins[child]:
+                        break
+                else:
+                    raise InternalConsistencyError("refutation requested for a winning sequence")
             at = child or -i - 1
             answer = answers.get(at * size + c)
             if answer is None:

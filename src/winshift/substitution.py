@@ -261,6 +261,13 @@ def _occurrences(subst: Substitution, w: Word, n: int, lift: int = 0) -> Iterato
         t = text.find(needle, t + 1)
 
 
+def require_factor_length(subst: Substitution, n: int) -> None:
+    """Refuse what :func:`language` and :func:`factor_count` refuse, building nothing."""
+    if n < 0:
+        raise PreconditionError("factor length must be nonnegative")
+    subst.require("factor language computation", "primitive")
+
+
 @lru_cache(maxsize=None)
 def language(subst: Substitution, n: int) -> FactorLanguage:
     """All length-``n`` factors of the subshift generated by a primitive substitution.
@@ -289,9 +296,7 @@ def language(subst: Substitution, n: int) -> FactorLanguage:
 
     Words are returned sorted.
     """
-    if n < 0:
-        raise PreconditionError("factor length must be nonnegative")
-    subst.require("factor language computation", "primitive")
+    require_factor_length(subst, n)
     k = _level(subst, n)
     blocks = _level_blocks(subst, k)
     found: set[Word] = set()
@@ -377,9 +382,7 @@ def _factor_counts(subst: Substitution, k: int) -> tuple[int, ...]:
 
 def factor_count(subst: Substitution, n: int) -> int:
     """``len(language(subst, n))``, read off :func:`_factor_counts` without building ``L_n``."""
-    if n < 0:
-        raise PreconditionError("factor length must be nonnegative")
-    subst.require("factor language computation", "primitive")
+    require_factor_length(subst, n)
     return _factor_counts(subst, _level(subst, n))[n]
 
 

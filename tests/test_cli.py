@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -493,6 +494,27 @@ def test_choice_letters_above_nine(capsys):
     assert (code, out) == (0, "win\n")
     assert main(["winset", "--subst", "gtm:2,11", "--length", "1", "--choice-seq", "12"]) == 1
     assert "choice letter 12 outside 1..11" in capsys.readouterr().err
+
+
+def test_choice_sequence_is_checked_before_the_language_is_built(capsys, tmp_path):
+    # L_n at n = 10^8 would not finish; the sequence is refused first
+    start = time.perf_counter()
+    assert main(["winset", "--subst", "tm", "--length", "100000000", "--choice-seq", "12"]) == 1
+    assert capsys.readouterr().err == (
+        "error: choice sequence length must match the target word length\n"
+    )
+    assert main(["winset", "--subst", "tm", "--length", "100000000", "--choice-seq", "13"]) == 1
+    assert capsys.readouterr().err == "error: choice letter 3 outside 1..2\n"
+    assert time.perf_counter() - start < 1.0
+    # the length and the substitution are still refused before the letters
+    assert main(["winset", "--subst", "tm", "--length", "-1", "--choice-seq", "3"]) == 1
+    assert capsys.readouterr().err == "error: factor length must be nonnegative\n"
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps({"alphabet": 2, "images": [[0, 0], [1, 1]]}))
+    assert main(["winset", "--subst", str(identity), "--length", "2", "--choice-seq", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: factor language computation requires a primitive substitution\n"
+    )
 
 
 def test_output_determinism(capsys):

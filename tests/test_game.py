@@ -337,7 +337,8 @@ def test_long_target_does_not_recurse():
     won = member(X, (2,) + (1,) * 1199)
     assert won.win and validate_strategy(won.strategy, X)
     lost = member(X, (2,) * 1200)
-    assert not lost.win and refutation_plays(lost.refutation) == {(0,) * 1199 + (1,)}
+    # Bob keeps to the language for one round, then plays the dead letter 1
+    assert not lost.win and refutation_plays(lost.refutation) == {(0, 1) + (0,) * 1198}
     # every offer here has one letter, so the plays double each round:
     # replay the shared table instead of expanding them
     lost = member(X, (1,) * 1199 + (2,))
@@ -388,12 +389,12 @@ def reference_refutation(target, alpha, size):
         responses = {}
         if alpha:
             for offered in combinations(range(size), alpha[0]):
-                for c in offered:
-                    quotient = frozenset(w[1:] for w in target if w and w[0] == c)
-                    if alpha[1:] not in reference_members(quotient):
-                        responses[offered] = (c, build(quotient, alpha[1:]))
-                        break
-                assert offered in responses
+                quotients = {c: frozenset(w[1:] for w in target if w[0] == c) for c in offered}
+                # a letter with an empty quotient first, else the first that loses the rest
+                dead = [c for c in offered if not quotients[c]]
+                losing = [c for c in offered if alpha[1:] not in reference_members(quotients[c])]
+                c = (dead or losing)[0]
+                responses[offered] = (c, build(quotients[c], alpha[1:]))
         else:
             assert not target
         memo[key] = Refutation(responses)
@@ -770,3 +771,45 @@ def test_long_language_target(tm):
     assert not lost.win and validate_refutation(lost.refutation, X, alpha)
     assert winning_set_cardinality(X) == len(X)
 
+
+@settings(max_examples=200, deadline=None)
+@given(targets)
+def test_bob_leaves_the_language_whenever_the_offer_lets_him(case):
+    size, X = case
+    n = len(next(iter(X)))
+    for alpha in product(range(1, size + 1), repeat=n):
+        outcome = member(X, alpha, alphabet_size=size)
+        if outcome.win:
+            continue
+        seen, stack = set(), [(outcome.refutation, frozenset(X), 0)]
+        while stack:
+            node, quotient, i = stack.pop()
+            if i == n or (id(node), quotient) in seen:
+                continue
+            seen.add((id(node), quotient))
+            first = {w[0] for w in quotient}
+            for offered, (c, child) in node.responses.items():
+                if not first.issuperset(offered):
+                    assert c not in first, (alpha, i, offered)
+                stack.append((child, frozenset(w[1:] for w in quotient if w[0] == c), i + 1))
+
+
+def distinct_nodes(ref: Refutation) -> int:
+    seen, stack = set(), [ref]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(child for _, child in node.responses.values())
+    return len(seen)
+
+
+def test_long_refutation_stays_small(tm):
+    # the least maximal member at n = 300 with its letter 38 raised: 22,455
+    # nodes when Bob took the first losing letter, dead or live
+    X = language(tm, 300).words
+    least = winning_set(X).maximal[0]
+    alpha = least[:38] + (least[38] + 1,) + least[39:]
+    lost = member(X, alpha)
+    assert not lost.win and distinct_nodes(lost.refutation) <= 2393
+    assert validate_refutation(lost.refutation, X, alpha)
