@@ -33,7 +33,6 @@ from .game import (
     branch_rounds,
     max_first_choice,
     member,
-    residual,
     strategy_choice_sequence,
     strategy_plays,
     validate_refutation,
@@ -71,10 +70,9 @@ from .shift import (
     choice_decomposition,
     desubstitute_strategy,
     enumerate_irreducible,
-    extend_level,
     extension_plan,
     irreducible_groups,
-    level_data,
+    irreducible_level,
     substitute_strategy,
     verify_form,
 )

@@ -213,11 +213,7 @@ def _level_rows(subst: Substitution, n: int, method: str, spelled: dict | None =
     letters), in suffix order; ``spelled`` carries spelled levels between lengths."""
     level = shift.irreducible_level(subst, n, method)
     tails = shift.spell_suffixes(level, *_text_spelling(subst.size), spelled)
-    # at length 1 the first letter is also the last, so 1 is reducible
-    start = 1 if n > 1 else 2
-    return [
-        (tail, range(start, len(letters) + 1)) for tail, (_, _, letters) in zip(tails, level.rows)
-    ]
+    return [(tail, level.leads(letters)) for tail, (_, _, letters) in zip(tails, level.rows)]
 
 
 def compress(sequences, m: int) -> tuple[str, ...]:
@@ -236,7 +232,7 @@ def compress(sequences, m: int) -> tuple[str, ...]:
         (format_choices((0,) + suffix, m)[1:], sorted(firsts))
         for suffix, firsts in sorted(groups.items())
     ]
-    return tuple(_format_rows(tails, m))
+    return tuple(lead + tail for lead, tail in _row_parts(tails, m))
 
 
 def _row_parts(groups, m: int):
@@ -255,12 +251,6 @@ def _row_parts(groups, m: int):
                 yield str(first), tail
 
 
-def _format_rows(groups, m: int) -> list[str]:
-    """The rows of :func:`compress` from (suffix text, ascending first letters)
-    pairs in suffix order."""
-    return [lead + tail for lead, tail in _row_parts(groups, m)]
-
-
 def _sorted_parts(groups):
     """(first letter, suffix text) of every sequence of the (suffix text,
     range of first letters) pairs, in sorted order: first letter, then suffix."""
@@ -270,12 +260,6 @@ def _sorted_parts(groups):
         for tail, firsts in groups:
             if t in firsts:
                 yield lead, tail
-
-
-def _spell_sorted(groups) -> list[str]:
-    """Every sequence of the (suffix text, range of first letters) pairs
-    spelled, in sorted order: first letter, then suffix."""
-    return [lead + tail for lead, tail in _sorted_parts(groups)]
 
 
 def _add_lines(pieces: list[str], parts, label: str = "") -> list[str]:
@@ -308,7 +292,7 @@ def cmd_winshift(args) -> int:
         _emit_pieces(_add_lines([], _row_parts(groups, m)))
         return 0
     if args.format == "json":
-        ordered = _spell_sorted(groups)
+        ordered = [lead + tail for lead, tail in _sorted_parts(groups)]
         _emit_json(
             {
                 "length": args.length,

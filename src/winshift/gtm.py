@@ -28,10 +28,6 @@ class GtmParams:
     modulus: int
     q: int
 
-    @property
-    def aperiodic(self) -> bool:
-        return (self.base - 1) % self.modulus != 0
-
 
 def gtm_params(b: int, m: int) -> GtmParams:
     """Validate (b, m); periodic parameters are rejected outright."""

@@ -8,7 +8,9 @@ transports strategy trees forward (image substitution) and backward
 (desubstitution), and checks the structural form of long sequences.
 
 A length n is held as rows (g, j, first letters), one per irreducible
-suffix u, sorted by u (see :class:`LevelData`).  A brute level, read off
+suffix u, sorted by u (see :class:`LevelData`, whose ``leads`` alone says
+which first letters a row stands for), and every reader takes it from
+:func:`irreducible_level`.  A brute level, read off
 the solved game, has g = u.  Past the delay a level is the paper's
 substitutive form over its base level of length (n - 2) // M + 2: u is a
 winning head tail g of length h - 1 followed by the suffix of base row j,
@@ -82,7 +84,8 @@ class LevelData:
     The first letters are the letters c, ascending, whose quotient game
     after c wins u, which every winning strategy for k.u must open with.
     Their number k is the largest first letter with k.u winning, and the
-    sequences of the level are t.u for 1 <= t <= k.
+    sequences of the level are t.u for t in :meth:`leads`: 1 <= t <= k,
+    save at length 1.
 
     Rows are sorted by suffix.  On a substitutive level that is the order
     of (g, j): every g has the same length h - 1, the base rows are sorted
@@ -102,7 +105,14 @@ class LevelData:
     @property
     def entries(self) -> dict[ChoiceSequence, tuple[int, ...]]:
         """Suffix -> first letters, spelled afresh on every access."""
-        return dict(zip(_tuple_suffixes(self), (letters for _, _, letters in self.rows)))
+        suffixes = spell_suffixes(self, tuple, _stretch)
+        return dict(zip(suffixes, (letters for _, _, letters in self.rows)))
+
+    def leads(self, letters: tuple[int, ...]) -> range:
+        """The first letters t of the sequences t.u of the row whose first
+        letters are ``letters``: 1..k with k = len(letters), except at length
+        1, where the first letter is also the last, so 1 is reducible."""
+        return range(1 if self.n > 1 else 2, len(letters) + 1)
 
 
 def spell_suffixes(level: LevelData, spell, stretch, spelled: dict | None = None) -> list:
@@ -136,15 +146,6 @@ def _stretch(u: ChoiceSequence, M: int) -> ChoiceSequence:
     return tuple(body)
 
 
-def _tuple_suffixes(level: LevelData) -> list[ChoiceSequence]:
-    return spell_suffixes(level, tuple, _stretch)
-
-
-def _groups(level: LevelData) -> dict[ChoiceSequence, int]:
-    """Suffix -> largest first letter of every row of ``level``."""
-    return dict(zip(_tuple_suffixes(level), (len(letters) for _, _, letters in level.rows)))
-
-
 def _delay(subst: Substitution) -> int:
     return sync_delay(subst).delay
 
@@ -165,8 +166,6 @@ def _head_groups(
 
 @lru_cache(maxsize=None)
 def _level(subst: Substitution, n: int) -> LevelData:
-    if n < 2:
-        raise PreconditionError("level data starts at length 2")
     # length 2 is its own extension base, so it must be solved directly
     if n <= max(_delay(subst), 2):
         return _brute_level(subst, n)
@@ -176,12 +175,14 @@ def _level(subst: Substitution, n: int) -> LevelData:
 
 def _brute_level(subst: Substitution, n: int) -> LevelData:
     """The irreducible winning sequences of length ``n`` read off the solved
-    game: the last letter is above 1, or at length 1 two letters are won."""
+    game: a row's sequences end with its suffix, so the suffix ends above 1,
+    save the empty suffix of length 1, whose reducible lead is dropped by
+    :meth:`LevelData.leads`."""
     groups = suffix_first_letters(language(subst, n).words)
     rows = tuple(
         (suffix, None, letters)
         for suffix, letters in sorted(groups.items())
-        if (suffix[-1] > 1 if suffix else len(letters) > 1)
+        if not suffix or suffix[-1] > 1
     )
     return LevelData(n, rows)
 
@@ -198,63 +199,17 @@ def _extended(subst: Substitution, base: LevelData, head: int) -> LevelData:
     return LevelData(head + (base.n - 2) * M + 1, rows, base, M)
 
 
-def _expand(groups: dict[ChoiceSequence, int]) -> frozenset[ChoiceSequence]:
-    """Every sequence t.u with t <= k of the groups u -> k; at length 1 the
-    first letter is also the last, so 1 is reducible."""
-    return frozenset(
-        (t,) + suffix for suffix, k in groups.items() for t in range(1 if suffix else 2, k + 1)
-    )
-
-
-def extend_level(subst: Substitution, level: LevelData, head_length: int) -> frozenset[ChoiceSequence]:
-    """All irreducible sequences of length head + (n - 2) * M + 1 from one level."""
-    M = subst.require("level extension", "uniform", "marked")
-    if not 1 <= head_length <= M:
-        raise PreconditionError(f"head length must lie in 1..{M}")
-    return _expand(_groups(_extended(subst, level, head_length)))
-
-
-def level_data(subst: Substitution, n: int) -> LevelData:
-    """Rows of the irreducible sequences of one length, over their base level."""
-    subst.require("level data", "uniform", "marked")
-    return _level(subst, n)
-
-
-def enumerate_irreducible(
-    subst: Substitution, n: int, method: str = "auto"
-) -> frozenset[ChoiceSequence]:
-    """All irreducible winning choice sequences of length ``n``.
+def irreducible_level(subst: Substitution, n: int, method: str = "auto") -> LevelData:
+    """The rows of the irreducible winning sequences of length ``n``.
 
     ``brute`` solves the game on the full factor language; it works for
     any primitive substitution at desk scale.  ``substitutive`` builds
     levels past the synchronization delay by the head/block extension
     and falls back to brute force on the base window.  ``auto`` picks
-    the extension whenever it applies.
-    """
-    return _expand(irreducible_groups(subst, n, method))
-
-
-def irreducible_groups(
-    subst: Substitution, n: int, method: str = "auto"
-) -> dict[ChoiceSequence, int]:
-    """The irreducible winning sequences of length ``n`` grouped by suffix.
-
-    Maps each suffix u to the largest first letter k with k.u winning; the
-    group is every irreducible t.u with t <= k, which is exact because
-    winning sets are downward closed.  ``method`` picks the path as in
-    :func:`enumerate_irreducible`, whose result the groups expand to.
-    """
-    return _groups(irreducible_level(subst, n, method))
-
-
-def irreducible_level(subst: Substitution, n: int, method: str = "auto") -> LevelData:
-    """The rows of length ``n`` on the path ``method`` picks, as in
-    :func:`enumerate_irreducible`.
-
-    ``brute``, lengths below 2 and input that is not uniform and marked get
-    a brute level off the level data.  Every other length is the cached
-    level of :func:`level_data`: ``_level`` owns the delay threshold, and
-    solves the lengths up to the delay by brute force itself.
+    the extension whenever it applies.  ``brute``, length 1 and input
+    that is not uniform and marked get a fresh brute level.  Every other
+    length is the cached level of ``_level``, which owns the delay
+    threshold and solves the lengths up to the delay by brute force itself.
     """
     if n < 1:
         raise PreconditionError("length must be >= 1")
@@ -265,6 +220,31 @@ def irreducible_level(subst: Substitution, n: int, method: str = "auto") -> Leve
     if method == "brute" or n < 2 or not (subst.uniform and subst.marked):
         return _brute_level(subst, n)
     return _level(subst, n)
+
+
+def enumerate_irreducible(
+    subst: Substitution, n: int, method: str = "auto"
+) -> frozenset[ChoiceSequence]:
+    """All irreducible winning choice sequences of length ``n``, on the path
+    ``method`` picks as in :func:`irreducible_level`."""
+    level = irreducible_level(subst, n, method)
+    return frozenset(
+        (t,) + suffix for suffix, letters in level.entries.items() for t in level.leads(letters)
+    )
+
+
+def irreducible_groups(
+    subst: Substitution, n: int, method: str = "auto"
+) -> dict[ChoiceSequence, int]:
+    """The irreducible winning sequences of length ``n`` grouped by suffix.
+
+    Maps each suffix u to the largest first letter k with k.u winning; the
+    group is every t.u with t in :meth:`LevelData.leads`, which is exact
+    because winning sets are downward closed.  ``method`` picks the path as
+    in :func:`irreducible_level`.
+    """
+    entries = irreducible_level(subst, n, method).entries
+    return {suffix: len(letters) for suffix, letters in entries.items()}
 
 
 def _long_irreducible(subst: Substitution, alpha, what: str) -> ChoiceSequence:

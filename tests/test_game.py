@@ -21,8 +21,6 @@ from winshift import (
     max_first_choice,
     member,
     parse_choices,
-    parse_word,
-    residual,
     strategy_choice_sequence,
     strategy_plays,
     validate_refutation,
@@ -52,23 +50,6 @@ def refutation_plays(ref: Refutation) -> frozenset[Word]:
         for _, (c, child) in node.responses.items():
             stack.append((prefix + (c,), child))
     return frozenset(out)
-
-
-def words_of(text_words, size):
-    return frozenset(parse_word(t, size) for t in text_words)
-
-
-def test_residual():
-    X = words_of(["01", "10", "00", "11"], 2)
-    assert residual(X, 0) == {(1,), (0,)}
-    assert residual(words_of(["01"], 2), 1) == frozenset()
-
-
-def test_residual_of_language(tm):
-    X = language(tm, 4).words
-    followers = residual(X, 0)
-    assert followers == frozenset(w[1:] for w in X if w[0] == 0)
-    assert len(followers) == 5
 
 
 def test_winning_set_of_tm_length_4(tm):

@@ -36,7 +36,6 @@ def test_params_and_q():
                 x, steps = (x + b - 1) % m, steps + 1
             assert gtm_q(b, m) == steps, (b, m)
     assert gtm_params(6, 4).q == 4
-    assert gtm_params(2, 2).aperiodic
 
 
 def test_periodic_parameters_rejected():

@@ -10,10 +10,8 @@ from winshift import (
     choice_decomposition,
     desubstitute_strategy,
     enumerate_irreducible,
-    extend_level,
     extension_plan,
     language,
-    level_data,
     make_substitution,
     member,
     parse_choices,
@@ -52,7 +50,7 @@ def test_extension_plan():
 
 
 def test_brute_level_entries_tm(tm):
-    level = level_data(tm, 4)
+    level = irreducible_level(tm, 4)
     assert level.source == "brute"
     assert level.entries == {
         (1, 1, 2): (0, 1),
@@ -66,7 +64,7 @@ def test_cached_level_data_cannot_be_changed(tm):
     from winshift import shift
 
     try:
-        level = level_data(tm, 9)
+        level = irreducible_level(tm, 9)
         level.entries.clear()
         # the entries are a fresh view; the cached level and its extensions are intact
         assert level.entries
@@ -84,7 +82,7 @@ def test_substitutive_levels_store_only_head_tails(tm, gtm23, gtm33, marked_nonp
     for subst in (tm, gtm23, gtm33, marked_nonpermutive, PERM4, *random_marked(3, seed=20171)):
         M, delay = subst.uniform_length, sync_delay(subst).delay
         for n in range(delay + 1, 400):
-            level = level_data(subst, n)
+            level = irreducible_level(subst, n)
             assert level.source == "substitutive"
             assert level.base.n == extension_plan(n, M).base_length
             assert all(len(g) <= M - 1 for g, _, _ in level.rows)
@@ -93,21 +91,12 @@ def test_substitutive_levels_store_only_head_tails(tm, gtm23, gtm33, marked_nonp
 
 
 def test_auto_levels_up_to_the_delay_are_the_cached_levels(tm, gtm23, marked_nonpermutive):
-    # the brute levels below the extension threshold are solved once, by level_data
+    # the brute levels below the extension threshold are solved once and cached
     for subst in (tm, gtm23, marked_nonpermutive):
         for n in range(2, sync_delay(subst).delay + 1):
-            assert irreducible_level(subst, n, "auto") is level_data(subst, n)
-
-
-def test_extend_level_reproduces_reference_rows(tm):
-    level = level_data(tm, 4)
-    # head 2 lands on length 7, head 1 on length 6; both reproduce the table
-    assert extend_level(tm, level, 2) == rows(
-        ["1111112", "2111112", "1121112", "2121112"]
-    )
-    assert extend_level(tm, level, 1) == rows(
-        ["111112", "211112", "121112", "221112"]
-    )
+            assert irreducible_level(subst, n, "auto") is irreducible_level(
+                subst, n, "substitutive"
+            )
 
 
 def test_enumerate_matches_reference_table(tm):

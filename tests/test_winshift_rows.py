@@ -102,9 +102,9 @@ def test_groups_and_rows_match_the_sequence_path(subst):
                 for suffix, k in sorted(groups.items())
             ]
             assert cli._level_rows(subst, n, method, spelled) == rows
-            assert tuple(cli._format_rows(rows, m)) == reference
+            assert tuple(lead + tail for lead, tail in cli._row_parts(rows, m)) == reference
             ordered = [format_choices(seq, m) for seq in sorted(sequences)]
-            assert cli._spell_sorted(rows) == ordered
+            assert [lead + tail for lead, tail in cli._sorted_parts(rows)] == ordered
             if method != "brute" and n <= BRUTE_N:
                 assert sequences == enumerate_irreducible(subst, n, "brute")
 
