@@ -19,7 +19,7 @@ from . import gtm as gtm_mod
 from . import shift, verify
 from .catalog import gtm_parameters, resolve_substitution, substitution_to_dict
 from .errors import PreconditionError, WinshiftError
-from .game import StrategyTree, member, winning_set, winning_set_cardinality
+from .game import StrategyTree, member, winning_set
 from .recognizability import periodicity, sync_delay
 from .substitution import Substitution, fixed_point_prefix, language, require_factor_length
 from .words import WILDCARD, ChoiceSequence, format_choices, format_word, parse_choices
@@ -157,8 +157,9 @@ def cmd_winset(args) -> int:
     subst, _ = resolve_substitution(args.subst)
     if args.choice_seq is None:
         target = language(subst, args.length).words
+        # winning_set checks |W| = |X|, so the count is the target's size
         maximal = [format_choices(m, subst.size) for m in winning_set(target).maximal]
-        count = winning_set_cardinality(target)
+        count = len(target)
         _periodicity_label(subst, args.format)
         if args.format == "json":
             _emit_json({"length": args.length, "count": count, "maximal": maximal})
@@ -210,41 +211,44 @@ def _text_spelling(m: int):
 
 def _level_rows(subst: Substitution, n: int, method: str, spelled: dict | None = None) -> list:
     """The irreducible sequences of length n as (suffix text, range of first
-    letters), in suffix order; ``spelled`` carries spelled levels between lengths."""
+    letters, wildcard), in suffix order; ``spelled`` carries spelled levels
+    between lengths.  A row is a wildcard row when its k is m: every letter
+    opens it, save the reducible 1 at length 1."""
+    m = subst.size
     level = shift.irreducible_level(subst, n, method)
-    tails = shift.spell_suffixes(level, *_text_spelling(subst.size), spelled)
-    return [(tail, level.leads(letters)) for tail, (_, _, letters) in zip(tails, level.rows)]
+    tails = shift.spell_suffixes(level, *_text_spelling(m), spelled)
+    return [
+        (tail, level.leads(letters), len(letters) == m)
+        for tail, (_, _, letters) in zip(tails, level.rows)
+    ]
 
 
 def compress(sequences, m: int) -> tuple[str, ...]:
     """Wildcard-compress a set of sequences for table display.
 
-    A suffix group collapses to a wildcard row exactly when every first
-    letter 1..m occurs (or, at length 1, when all irreducible first
-    letters occur); other groups are listed concretely.  Rows are spelled
-    by :func:`format_choices`, so above 9 letters they read ``◇,1,10``.
+    A suffix group collapses to a wildcard row exactly when its first
+    letters are 1..m, or 2..m at length 1, where the first letter is also
+    the last and 1 is reducible; other groups are listed concretely.  Rows
+    are spelled as :func:`format_choices` spells them, so above 9 letters
+    they read ``◇,1,10``.
     """
     groups: dict[ChoiceSequence, set[int]] = {}
     for seq in sequences:
         groups.setdefault(tuple(seq[1:]), set()).add(seq[0])
-    # each suffix spelled with its leading separator, if any
-    tails = [
-        (format_choices((0,) + suffix, m)[1:], sorted(firsts))
+    spell = _text_spelling(m)[0]
+    rows = [
+        (spell(suffix), sorted(firsts), firsts == set(range(1 if suffix else 2, m + 1)))
         for suffix, firsts in sorted(groups.items())
     ]
-    return tuple(lead + tail for lead, tail in _row_parts(tails, m))
+    return tuple(lead + tail for lead, tail in _row_parts(rows))
 
 
-def _row_parts(groups, m: int):
+def _row_parts(groups):
     """(lead, tail) of every row of :func:`compress`, from (suffix text,
-    ascending first letters) pairs in suffix order; the lead is the
-    wildcard or one first letter, and the tail is the suffix text itself."""
-    for tail, firsts in groups:
-        # At length 1 (no tail) the first letter is also the last, so 1 is
-        # reducible and a wildcard row can only ever cover 2..m.  Distinct
-        # ascending letters from low to m, as many as low..m, are low..m.
-        low = 1 if tail else 2
-        if firsts[0] == low and firsts[-1] == m and len(firsts) == m + 1 - low:
+    ascending first letters, wildcard) triples in suffix order; the lead is
+    the wildcard or one first letter, and the tail is the suffix text itself."""
+    for tail, firsts, wild in groups:
+        if wild:
             yield WILDCARD, tail
         else:
             for first in firsts:
@@ -252,12 +256,12 @@ def _row_parts(groups, m: int):
 
 
 def _sorted_parts(groups):
-    """(first letter, suffix text) of every sequence of the (suffix text,
-    range of first letters) pairs, in sorted order: first letter, then suffix."""
-    top = max((firsts[-1] for _, firsts in groups if firsts), default=0)
+    """(first letter, suffix text) of every sequence of the rows of
+    :func:`_level_rows`, in sorted order: first letter, then suffix."""
+    top = max((firsts[-1] for _, firsts, _ in groups if firsts), default=0)
     for t in range(1, top + 1):
         lead = str(t)
-        for tail, firsts in groups:
+        for tail, firsts, _ in groups:
             if t in firsts:
                 yield lead, tail
 
@@ -272,7 +276,6 @@ def _add_lines(pieces: list[str], parts, label: str = "") -> list[str]:
 
 def cmd_winshift(args) -> int:
     subst, _ = resolve_substitution(args.subst)
-    m = subst.size
     if args.table:
         low, high = args.table
         # each base level is spelled once for the whole table, and its rows'
@@ -281,7 +284,7 @@ def cmd_winshift(args) -> int:
         spelled: dict = {}
         pieces: list[str] = []
         for n in range(low, high + 1):
-            rows = _row_parts(_level_rows(subst, n, args.method, spelled), m)
+            rows = _row_parts(_level_rows(subst, n, args.method, spelled))
             _add_lines(pieces, rows, f"{n}: ")
         _periodicity_label(subst, args.format)
         _emit_pieces(pieces)
@@ -289,7 +292,7 @@ def cmd_winshift(args) -> int:
     groups = _level_rows(subst, args.length, args.method)
     assumptions = _periodicity_label(subst, args.format)
     if args.format == "text":
-        _emit_pieces(_add_lines([], _row_parts(groups, m)))
+        _emit_pieces(_add_lines([], _row_parts(groups)))
         return 0
     if args.format == "json":
         ordered = [lead + tail for lead, tail in _sorted_parts(groups)]

@@ -136,9 +136,15 @@ def gtm_irreducibles(b: int, m: int, n: int) -> frozenset[ChoiceSequence]:
     return frozenset(out)
 
 
-def _gtm_row(b: int, m: int, q: int, n: int) -> tuple[int, int]:
-    # Case split on the length; the ranges tile n >= 1 with no overlap,
+def _gtm_values(b: int, m: int, n: int) -> tuple[int, int]:
+    """(first difference, factor complexity) of t_{b,m} at length n."""
+    q = gtm_params(b, m).q
+    if n < 0:
+        raise PreconditionError("length must be nonnegative")
+    # Case split on the length; the ranges tile n >= 0 with no overlap,
     # and stepping outside them is a bug, not an input error.
+    if n == 0:
+        return 1, 1
     if n == 1:
         return m - 1, m
     if n <= b + 1:
@@ -162,22 +168,12 @@ def _gtm_row(b: int, m: int, q: int, n: int) -> tuple[int, int]:
 
 def gtm_delta(b: int, m: int, n: int) -> int:
     """Closed-form first difference of t_{b,m}."""
-    params = gtm_params(b, m)
-    if n < 0:
-        raise PreconditionError("length must be nonnegative")
-    if n == 0:
-        return 1
-    return _gtm_row(b, m, params.q, n)[0]
+    return _gtm_values(b, m, n)[0]
 
 
 def gtm_complexity(b: int, m: int, n: int) -> int:
     """Closed-form factor complexity of t_{b,m}."""
-    params = gtm_params(b, m)
-    if n < 0:
-        raise PreconditionError("length must be nonnegative")
-    if n == 0:
-        return 1
-    return _gtm_row(b, m, params.q, n)[1]
+    return _gtm_values(b, m, n)[1]
 
 
 def gtm_complexity_table(b: int, m: int, upto: int) -> ComplexityTable:

@@ -101,7 +101,7 @@ def sync_analysis(subst: Substitution, w: Word) -> SyncAnalysis:
     """Offsets of ``w`` and, when they agree, the aligned cut positions."""
     M = subst.uniform_length
     interps = interpretations(subst, w)
-    offsets = frozenset(it.front % M for it in interps)
+    offsets = frozenset(it.front for it in interps)
     if len(offsets) == 1:
         (i,) = offsets
         positions = tuple(p for p in range(len(w) + 1) if (p + i) % M == 0)

@@ -42,7 +42,7 @@ from .game import (
 )
 from .recognizability import decomposition, sync_delay
 from .substitution import Substitution, is_factor, language
-from .words import ChoiceSequence, Word, is_irreducible
+from .words import ChoiceSequence, Word, is_irreducible, stretch
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,7 @@ def spell_suffixes(level: LevelData, spell, stretch, spelled: dict | None = None
 
 
 def _stretch(u: ChoiceSequence, M: int) -> ChoiceSequence:
-    """stretch(u[:-1], M) + (u[-1],) in one slice assignment."""
-    body = [1] * ((len(u) - 1) * M + 1)
-    body[::M] = u
-    return tuple(body)
+    return stretch(u[:-1], M) + u[-1:]
 
 
 def _delay(subst: Substitution) -> int:
@@ -426,7 +423,7 @@ def desubstitute_strategy(subst: Substitution, tree: StrategyTree) -> StrategyTr
     delay = _delay(subst)
     if total <= delay:
         raise PreconditionError(f"nothing to desubstitute at or below length {delay}")
-    head = (total - 2) % M + 1
+    head = extension_plan(total, M).head_length
     by_last = {subst.image(a)[-1]: a for a in subst.letters}
     by_first = {subst.image(a)[0]: a for a in subst.letters}
     by_image = {subst.image(a): a for a in subst.letters}

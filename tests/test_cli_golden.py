@@ -217,13 +217,20 @@ def corpus() -> list[str]:
     return commands + list(OTHERS)
 
 
-def replay(command: str, tmp: Path) -> list:
+def write_inputs(tmp: Path) -> dict[str, str]:
+    """Write the substitution files into ``tmp`` and return every
+    placeholder's path.  A corpus run writes them once: rewriting a file
+    that exists can cost tens of milliseconds, creating one far less."""
     paths = {"dot": str(tmp / "tree.dot"), "emit": str(tmp / "emit.json")}
     substs = {"marked": MARKED, "perm4": PERM4, "cycle3": CYCLE3, "fib": FIB, "twin": TWIN}
     for key, subst in substs.items():
         path = tmp / f"{subst['name']}.json"
         path.write_text(json.dumps(subst))
         paths[key] = str(path)
+    return paths
+
+
+def replay(command: str, paths: dict[str, str]) -> list:
     out, err = io.StringIO(), io.StringIO()
     with (
         mock.patch.dict(os.environ, {"COLUMNS": "80"}),
@@ -241,12 +248,14 @@ def test_golden_corpus(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     commands = corpus()
     assert sorted(golden) == sorted(commands)
-    mismatched = [c for c in commands if replay(c, tmp_path) != golden[c]]
+    paths = write_inputs(tmp_path)
+    mismatched = [c for c in commands if replay(c, paths) != golden[c]]
     assert mismatched == []
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        recorded = {command: replay(command, Path(tmp)) for command in corpus()}
+        paths = write_inputs(Path(tmp))
+        recorded = {command: replay(command, paths) for command in corpus()}
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} invocations to {GOLDEN}")

@@ -98,11 +98,11 @@ def test_groups_and_rows_match_the_sequence_path(subst):
             assert compress(sequences, m) == reference
             rows = cli._level_rows(subst, n, method)
             assert rows == [
-                (format_choices((0,) + suffix, m)[1:], range(1 if suffix else 2, k + 1))
+                (format_choices((0,) + suffix, m)[1:], range(1 if suffix else 2, k + 1), k == m)
                 for suffix, k in sorted(groups.items())
             ]
             assert cli._level_rows(subst, n, method, spelled) == rows
-            assert tuple(lead + tail for lead, tail in cli._row_parts(rows, m)) == reference
+            assert tuple(lead + tail for lead, tail in cli._row_parts(rows)) == reference
             ordered = [format_choices(seq, m) for seq in sorted(sequences)]
             assert [lead + tail for lead, tail in cli._sorted_parts(rows)] == ordered
             if method != "brute" and n <= BRUTE_N:
