@@ -453,7 +453,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p.add_argument("--emit", metavar="PATH", help="write the substitution back as JSON")
     p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("fixedpoint", help="prefix of the fixed point")
+    # from 3.13 on argparse wraps usage its own way, so the two usages too
+    # long for 80 columns are spelled as 3.10-3.12 wrap them
+    indent = "\n" + " " * len("usage: winshift fixedpoint ")
+    usage = f"%(prog)s [-h] --subst SUBST [--letter LETTER] --length{indent}LENGTH"
+    p = sub.add_parser("fixedpoint", help="prefix of the fixed point", usage=usage)
     add_subst(p)
     p.add_argument("--letter", type=int, default=0)
     p.add_argument("--length", type=int, required=True)
@@ -536,6 +540,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p.add_argument("--depth", type=int, default=10)
     p.set_defaults(handler=cmd_verify)
 
+    # set only now: each command took its prog from the usage when added
+    indent = "\n" + " " * len("usage: winshift ")
+    parser.usage = f"%(prog)s [-h]{indent}{{{','.join(sub.choices)}}}{indent}..."
     return parser, cap
 
 

@@ -11,10 +11,10 @@ length at which the factor count stalls proves it periodic.
 
 Interpretations are read off the level pairs ``σ^k(a)σ^k(b)`` that
 ``language`` and ``is_factor`` share: each occurrence of a word in the
-image of a pair is one interpretation, so one text search serves a word
-of any length and no factor language is built for it.  The words of each
-level ``L_n`` are read once, and the synchronization search and the
-periodicity verdict both read that one reading.
+image of a pair is one interpretation, so searching the at most s² images
+serves a word of any length and no factor language is built for it.  The
+words of each level ``L_n`` are read once, and the synchronization search
+and the periodicity verdict both read that one reading.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def interpretations(subst: Substitution, w: Word) -> frozenset[Interpretation]:
     n = len(w)
     span = math.ceil((n + 2 * M - 2) / M)
     found = {
-        (pair[t // M:(t + n - 1) // M + 1], t % M)
+        (tuple(map(ord, pair[t // M:(t + n - 1) // M + 1])), t % M)
         for pair, t in _occurrences(subst, w, span, lift=1)
     }
     if not found:

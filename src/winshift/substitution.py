@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -202,11 +202,13 @@ def _two_letter_factors(subst: Substitution) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
-def _level_blocks(subst: Substitution, k: int) -> tuple[Word, ...]:
-    """The level-k blocks ``σ^k(a)``, one per letter a."""
+def _level_blocks(subst: Substitution, k: int) -> tuple[str, ...]:
+    """The level-k blocks ``σ^k(a)``, one per letter a, one code point per
+    letter; level k + 1 spells each letter of level k as its image."""
     if k == 0:
-        return tuple((a,) for a in subst.letters)
-    return tuple(subst.apply(block) for block in _level_blocks(subst, k - 1))
+        return tuple(map(chr, subst.letters))
+    images = tuple("".join(map(chr, img)) for img in subst.images)
+    return tuple(block.translate(images) for block in _level_blocks(subst, k - 1))
 
 
 @lru_cache(maxsize=None)
@@ -219,46 +221,34 @@ def _level(subst: Substitution, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _level_pairs(subst: Substitution, k: int) -> tuple[Word, ...]:
+def _level_pairs(subst: Substitution, k: int) -> tuple[str, ...]:
     """The level-k pairs ``σ^k(a)σ^k(b)``, one per ``ab`` of :func:`_two_letter_factors`."""
     blocks = _level_blocks(subst, k)
     return tuple(blocks[a] + blocks[b] for a, b in _two_letter_factors(subst))
 
 
-@lru_cache(maxsize=None)
-def _pair_text(subst: Substitution, k: int) -> tuple[str, tuple[int, ...]]:
-    # The level-k pairs spelled one letter per code point, so letters past a
-    # byte need no special care, and joined by chr(s), which is no letter, so
-    # no match straddles two of them; with the offset where each pair starts.
-    spelled = ["".join(map(chr, pair)) for pair in _level_pairs(subst, k)]
-    starts = tuple(accumulate((len(p) + 1 for p in spelled[:-1]), initial=0))
-    return chr(subst.size).join(spelled), starts
-
-
-def _occurrences(subst: Substitution, w: Word, n: int, lift: int = 0) -> Iterator[tuple[Word, int]]:
+def _occurrences(subst: Substitution, w: Word, n: int, lift: int = 0) -> Iterator[tuple[str, int]]:
     """Each occurrence of ``w`` in an image ``σ^lift(p)`` of a pair p of ``language(subst, n)``.
 
     The pairs are ``p = σ^k(a)σ^k(b)`` at the level k of length n, and
     ``σ^lift(p)`` is the pair of level ``k + lift`` over the same ``ab``, so
-    one text search over that level's pairs finds every occurrence.  Each
-    is yielded as ``(p, t)``, with w at position t of ``σ^lift(p)``.  A
-    word with a letter outside the alphabet has none: it never reaches
-    ``chr`` or the search; nor has a word with a bool, which is an int in
-    Python but no letter, as in :class:`Substitution`.
+    searching those at most ``s²`` texts finds every occurrence.  Each is
+    yielded as ``(p, t)``, p spelled as a str, with w at position t of
+    ``σ^lift(p)``.  A word with a letter outside the alphabet has none: it
+    never reaches ``chr`` or the search; nor has a word with a bool, which
+    is an int in Python but no letter, as in :class:`Substitution`.
     """
     if not all(map(isinstance, w, repeat(int))) or any(map(isinstance, w, repeat(bool))):
         return
     if min(w, default=0) < 0 or max(w, default=0) >= subst.size:
         return
     k = _level(subst, n)
-    pairs = _level_pairs(subst, k)
-    text, starts = _pair_text(subst, k + lift)
     needle = "".join(map(chr, w))
-    t = text.find(needle)
-    while t >= 0:
-        i = bisect_right(starts, t) - 1
-        yield pairs[i], t - starts[i]
-        t = text.find(needle, t + 1)
+    for pair, image in zip(_level_pairs(subst, k), _level_pairs(subst, k + lift)):
+        t = image.find(needle)
+        while t >= 0:
+            yield pair, t
+            t = image.find(needle, t + 1)
 
 
 def require_factor_length(subst: Substitution, n: int) -> None:
@@ -301,7 +291,8 @@ def language(subst: Substitution, n: int) -> FactorLanguage:
     blocks = _level_blocks(subst, k)
     found: set[Word] = set()
     for (a, _), pair in zip(_two_letter_factors(subst), _level_pairs(subst, k)):
-        found.update(pair[i:i + n] for i in range(len(blocks[a])))
+        letters = tuple(map(ord, pair))
+        found.update(letters[i:i + n] for i in range(len(blocks[a])))
     return FactorLanguage(n, tuple(sorted(found)))
 
 
@@ -338,7 +329,7 @@ def _factor_counts(subst: Substitution, k: int) -> tuple[int, ...]:
     top = min(map(len, _level_blocks(subst, k))) + 1
     length, link, edges = [0], [-1], [{}]
 
-    def split(p: int, q: int, c: int) -> int:
+    def split(p: int, q: int, c: str) -> int:
         # a clone of q one letter longer than p takes over the c-edges of
         # p and its links that led to q
         r = len(length)

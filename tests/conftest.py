@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 
@@ -21,6 +22,16 @@ def random_marked(count, seed):
         if subst.primitive and not periodicity(subst)[0]:
             found.append(subst)
     return found
+
+
+@cache
+def past_a_byte():
+    """A primitive uniform substitution on 257 letters, so a letter does not
+    fit in a byte; every image holds every letter, which keeps the
+    primitivity check to one matrix.  One instance serves every test: the
+    caches keyed by it then find it by identity, not by comparing images."""
+    s = 257
+    return make_substitution([(a,) + tuple(range(s)) for a in range(s)])
 
 
 @pytest.fixture(scope="session")

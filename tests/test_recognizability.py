@@ -5,6 +5,7 @@ from contextlib import suppress
 from itertools import product
 
 import pytest
+from conftest import past_a_byte
 
 import winshift.recognizability as recognizability
 import winshift.substitution as substitution
@@ -51,17 +52,16 @@ def test_image_is_its_own_interpretation(tm):
 
 
 def test_interpretations_reject_foreign_words(tm, monkeypatch):
-    # no letter outside 0..s-1 is ever spelled: -1 would fail chr, and s is
-    # the separator of the pair text; 1.0 == 1 and True == 1, but neither
-    # is a letter
+    # no letter outside 0..s-1 is ever spelled, by the levels or by the
+    # search: -1 would fail chr, and s is no letter, so spelling it would
+    # mean the letter check was skipped; 1.0 == 1 and True == 1, but
+    # neither is a letter
     spelled = []
 
     def recording_chr(code):
         spelled.append(code)
         return chr(code)
 
-    # decomposition reads the delay first, whose levels spell the separator
-    sync_delay(tm)
     monkeypatch.setattr(substitution, "chr", recording_chr, raising=False)
     for w in ((0, 2), (0, -1), ("a",), (0, 0, 0), (0, 1.0, 1)):
         with pytest.raises(NotInLanguageError):
@@ -107,16 +107,25 @@ def test_interpretations_match_the_image_scan(tm, ex42, ex46, gtm23, gtm33, gtm4
     periodic = make_substitution([(0, 1), (0, 1)])
     cycle3 = make_substitution([(0, 1), (2, 0), (1, 2)])
     inputs = [tm, ex42, ex46, gtm23, gtm33, gtm42, perm4, periodic, cycle3]
-    for subst in inputs + random_primitive_uniform(50, 14):
+    # letters past a byte: words of length <= 2 have span 2, so their search
+    # reads level-1 pairs; the image scan takes about 25 ms a word there, so
+    # only the words over letters at both ends of the alphabet are compared
+    wide = past_a_byte()
+    ends = {0, 1, wide.size - 2, wide.size - 1}
+    cases = [
+        (subst, w)
+        for subst in inputs + random_primitive_uniform(50, 14)
+        for n in range(1, 13)
+        for w in language(subst, n).words
+    ] + [(wide, w) for n in (1, 2) for w in language(wide, n).words if ends.issuperset(w)]
+    for subst, w in cases:
         M = subst.uniform_length
-        for n in range(1, 13):
-            for w in language(subst, n).words:
-                got = interpretations(subst, w)
-                assert got == image_scan_interpretations(subst, w), (subst.images, w)
-                for it in got:
-                    img = subst.apply(it.ancestor)
-                    assert 0 <= it.front < M and 0 <= it.back < M
-                    assert img[it.front:len(img) - it.back] == w
+        got = interpretations(subst, w)
+        assert got == image_scan_interpretations(subst, w), (subst.images, w)
+        for it in got:
+            img = subst.apply(it.ancestor)
+            assert 0 <= it.front < M and 0 <= it.back < M
+            assert img[it.front:len(img) - it.back] == w
 
 
 def test_sync_delays(tm, ex42, ex46, gtm23, gtm33, gtm42):

@@ -3,7 +3,7 @@ import random
 from itertools import product
 
 import pytest
-from conftest import random_marked
+from conftest import past_a_byte, random_marked
 
 from winshift import (
     ConstructionError,
@@ -201,10 +201,8 @@ def test_is_factor_agrees_with_language(name, request):
 
 
 def test_is_factor_past_a_byte():
-    # 257 letters, so a letter does not fit in a byte; every image holds
-    # every letter, which keeps the primitivity check to one matrix
-    s = 257
-    subst = make_substitution([(a,) + tuple(range(s)) for a in range(s)])
+    subst = past_a_byte()
+    s = subst.size
     rng = random.Random(5)
     for n in range(1, 4):
         lang = language(subst, n)
@@ -228,26 +226,31 @@ def _two_letter_inputs():
 
 
 @pytest.mark.parametrize(
-    "inputs",
+    "inputs, upto",
     [
         pytest.param(
             lambda: [
                 builtin_substitution(n)
                 for n in ("tm", "ex42", "ex46", "gtm:2,3", "gtm:3,3", "gtm:3,2")
             ],
+            40,
             id="builtins",
         ),
-        pytest.param(lambda: random_marked(6, seed=20171), id="random-marked"),
-        pytest.param(_two_letter_inputs, id="two-letter-lengths-1-3"),
+        pytest.param(lambda: random_marked(6, seed=20171), 40, id="random-marked"),
+        pytest.param(_two_letter_inputs, 40, id="two-letter-lengths-1-3"),
         pytest.param(
             lambda: [make_substitution(i) for i in ([(0, 1), (0,)], [(0, 1, 2), (2,), (1, 0)])],
+            40,
             id="length-one-images",
         ),
+        # n <= 3 reads levels 0 and 1, the only ones below n = 260; the
+        # automaton over its level-1 pairs already peaks near 100 MB
+        pytest.param(lambda: [past_a_byte()], 3, id="past-a-byte"),
     ],
 )
-def test_factor_count_agrees_with_language(inputs):
+def test_factor_count_agrees_with_language(inputs, upto):
     for subst in inputs():
-        for n in range(41):
+        for n in range(upto + 1):
             assert factor_count(subst, n) == len(language(subst, n)), (subst.images, n)
 
 
