@@ -7,55 +7,66 @@ in the target.  ``winning_set`` computes the full downward closed set of
 winning choice sequences; ``member`` produces a strategy tree or a
 refutation, both replayable certificates.
 
-The solver works on the minimal acyclic automaton of the target (Revuz
-1992; Daciuk et al. 2000), built once per target and kept for the 32 most
-recently used targets: its states are exactly
-the distinct left quotients ("what is still needed after a prefix"), so
-the winning set of each quotient is computed once, bottom-up by remaining
-length, and strategies and refutations walk the one transition table.
-Quotients of subshift languages collapse onto follower sets, so the
-automaton stays small.  The automaton is built from the trie of the sorted
-target, level by level, and winning sets are sets of hash-consed integer
-ids of choice sequences: the pair (letter t, id j of the rest) is the int
-``j * base + t``, so no step copies or hashes a whole sequence, and the
-pair index is an int-to-int dict that the cyclic collector never scans.  A
-state costs time in proportion to its children's winning sets, whatever the
-word length; states with equal winning sets share one frozenset.  Maximal
-winning sequences are found on the same ids: a member is maximal iff none
-of its one-letter raises wins, which is exact for a downward closed set, and
-the raises of t.j are (t+1).j and t.r for each raise r of j, so one sweep in
-id order finds every id's raises without spelling a sequence.  Certificates
-are slotted dataclasses, and a refutation builds each (letter, continuation)
-answer once and shares it among every offer and node that gives it.
+The solver works on the compacted trie of the target, built once per target
+and kept for the 32 most recently used targets.  A node is a maximal run of
+sorted target words that share a prefix; its depth, the length of that
+prefix, is read off the common prefixes of neighbouring words, and the node
+branches there unless it is a leaf, one word at depth n.  Between a node
+and each child lies a chain of positions where every word of the child run
+reads the same next letter.  Only the branching nodes are solved:
 
-In a refutation Bob answers an offer with a dead letter, one with no
-transition from the current state, whenever the offer holds one, and else
-with the first letter whose quotient game loses the rest.  This is sound:
-after a dead letter the quotient is empty and wins nothing, so the play ends
-outside the target whatever follows.  The play then stays in the one dead
-node of each later round, so Bob opens new nodes in the language only where
-every offered letter keeps him there.
+    Chain step.  If every word of a quotient Q starts with the one letter
+    c, then W(Q) = {1.b : b in W(c^-1 Q)}.  For k.b wins Q iff b wins the
+    quotient after a letter for at least k distinct first letters of Q;
+    c is the only one, so k = 1, and 1.b wins iff b wins c^-1 Q.  By
+    induction the position r letters up the chain above a node v has the
+    winning set 1^r.W(v).
 
-The builders (automaton, strategy, refutation, maximal sequences) run with
-the cyclic garbage collector paused.  They allocate one container per state
-or node and form no reference cycle, so reference counting frees all of
-it; left on, the collector would rescan these live containers again and
-again while they are built.  Pausing defers those scans; it does not save
-them.  Every container a builder leaves is still in generation 0 when it
-returns, so the first allocations after it trigger a collection that scans
-them all, and the survivors are scanned again as they age into the older
-generations.  At Thue-Morse length 500 that first collection takes about
-77 ms, after an automaton build of about 0.8 s.  The caller's setting is
-restored on return; the switch is process-wide, so a thread that flips it
-while a builder runs may find it reset when the builder returns.
+So a choice sequence of a known length is named by the id of its head, the
+sequence left once its leading 1s are dropped, and one set of head ids is
+the winning set of a node and of every position on the chain above it.  The
+head t.1^r.h with t >= 2 and h a head is hash-consed as one int packing t,
+its length and the id of h, so no step copies or hashes a whole sequence.
+A branching node's set follows from its children's: a head b won by c
+children gives 1.b, the same id, and t.b for 2 <= t <= c.  It depends only
+on the node's unlabelled shape, the sorted (chain length, child shape)
+pairs, so it is solved once per shape and nodes of one shape share one
+frozenset: a dense target, whose many nodes have few shapes, keeps the
+sharing a minimal automaton would give it.  Nodes are ints indexing flat
+lists, and the id index and each node's children map hold only ints, so
+the cyclic collector tracks none of them: a solved trie adds a few dozen
+tracked objects however many nodes it has.  The size of the root's set must be the size of the target, which the
+code checks.  Maximal winning sequences are found on the same ids: a member
+is maximal iff none of its one-letter raises wins, which is exact for a
+downward closed set, and the raises of the head t.1^r.h are (t+1).1^r.h,
+t.1^p.2.1^(r-p-1).h for p < r, and t.1^r.g for each raise g of h, so one
+sweep in id order finds every id's raises without spelling a sequence.
+
+Certificates read their letters from one word per node: every word of the
+run spells the chain above it.  They are slotted dataclasses, and a
+refutation builds each (letter, continuation) answer once and shares it
+among every offer and node that gives it.  Refutation nodes are shared per
+(quotient, round).  Node quotients get ids hash-consed from the leaves up
+when a target's first refutation is built, and the quotient r letters up a
+chain, that letter in front of the one below, when a refutation first
+reaches it.
+
+In a refutation Bob answers an offer with a dead letter, one that leaves
+the target from the current position, whenever the offer holds one, and
+else with the first letter whose quotient game loses the rest.  This is
+sound: after a dead letter the quotient is empty and wins nothing, so the
+play ends outside the target whatever follows.  The play then stays in the
+one dead node of each later round, so Bob opens new nodes in the language
+only where every offered letter keeps him there.
 """
 
 from __future__ import annotations
 
-import gc
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cmp_to_key, lru_cache, wraps
-from itertools import combinations
+from functools import cached_property, cmp_to_key, lru_cache
+from itertools import chain, combinations, compress, count
+from operator import ne
 
 from .errors import InternalConsistencyError, PreconditionError
 from .words import ChoiceSequence, Word, le
@@ -85,148 +96,204 @@ def _infer_alphabet(letters: frozenset[int], alphabet_size: int | None) -> int:
     return alphabet_size
 
 
-_DEAD, _ACCEPT = 0, 1
-# The id of a choice sequence that no state wins: no winning set holds it,
-# and no interned pair has it as a tail.
+# The id of a choice sequence that no node wins: no winning set holds it,
+# and no interned sequence has it as a tail.
 _ABSENT = -1
 
 
 @dataclass(frozen=True)
-class _Automaton:
-    """Minimal acyclic DFA of a target, with the winning set of every state.
+class _Trie:
+    """The solved compacted trie of a target.
 
-    State 0 is the empty quotient (no letter leads anywhere) and state 1
-    the quotient {()}; every other state is one distinct nonempty left
-    quotient.  Ids grow bottom-up, so a state's children have smaller ids.
-    ``delta[q]`` is the signature of q: its (letter, child) pairs in
-    ascending letter order.  ``letters`` are the letters of the target.
+    Nodes are ints, numbered children first, so the root is the last one;
+    the trie of the empty target has none.  Node v is a maximal run of
+    sorted target words that share a prefix, and ``depth[v]`` is the length
+    of that prefix: a leaf is one word at depth n, any other node branches
+    at its depth.  ``word[v]`` is the first word of the run, so
+    ``word[v][i]`` is the letter every word of the run has at each
+    i < depth[v], the chain above v included.  ``kids[v]`` maps each letter
+    at position depth[v] to its child run, in ascending letter order.
+    ``wins[v]`` holds the ids of the sequences that win v's quotient; the
+    ids of the sequences with a 1 in front are the same ids, so one set
+    serves every position of the chain above v.
 
-    Winning sets hold hash-consed choice sequences: id 0 is ``()`` and the
-    sequence t.j (the letter t followed by sequence j) is keyed by the int
-    ``j * base + t``.  ``base`` is one more than the number of target
-    letters, which bounds every choice letter a state can win with, so only
-    keys with ``0 < t < base`` are ever interned and the key is one-to-one.
-    ``ids`` maps each key to its id and ``cons[i]`` is the key of id i.
-    Equal sequences get one id in every state, so ``wins[q]`` is a set of
-    ints, and a sequence is tested by interning its suffixes once.  States
-    with equal winning sets share one frozenset.
+    A choice sequence of length m is named by the id of its head, the
+    sequence left once its leading 1s are dropped: id 0 is the empty head,
+    and the head t.1^r.h with t >= 2 is keyed by the int
+    ``(j * (n + 1) + length) * base + t``, where j is the id of the head h,
+    length = 1 + r + |h| and ``base`` exceeds the number of children of any
+    node, so every t a node can win.  ``ids`` maps each key to its id and
+    ``cons[i]`` is the key of id i; a key's tail is interned before it.
+    The length m is known wherever an id is read, so 1^(m - length) pads
+    the head back to the sequence.  The id index and the children maps
+    hold only ints, so the cyclic collector never scans them.
     """
 
-    root: int
-    delta: tuple[tuple[tuple[int, int], ...], ...]
-    wins: tuple[frozenset[int], ...]
-    letters: frozenset[int]
+    n: int
+    depth: list[int]
+    word: list[Word]
+    kids: list[dict[int, int]]
+    wins: list[frozenset[int]]
     base: int
     cons: list[int]
     ids: dict[int, int]
+    # (letter, id of the quotient below) -> id of a quotient on a chain
+    lifted: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+
+    @property
+    def root(self) -> int | None:
+        return len(self.depth) - 1 if self.depth else None
+
+    @property
+    def root_wins(self) -> frozenset[int]:
+        return self.wins[-1] if self.wins else frozenset()
+
+    @cached_property
+    def letters(self) -> frozenset[int]:
+        # every target word is a leaf's word
+        return frozenset().union(*self.word)
+
+    def live(self, v: int | None, i: int) -> dict[int, int]:
+        """The letters that stay in the target from the position at depth i
+        on the chain above node v, or at it, each with the node at or below
+        the next position; None is the position outside the target."""
+        if v is None:
+            return {}
+        if i < self.depth[v]:
+            return {self.word[v][i]: v}
+        return self.kids[v]
+
+    @cached_property
+    def chains(self) -> list[list[int]]:
+        """Per node, ids of the quotients at it and up the chain above it.
+
+        ``chains[v][k]`` is the id of the quotient at depth
+        ``depth[v] - k``; two positions have equal ids iff their quotients
+        are equal.  A node's quotient is its child runs' letters and
+        quotients, so node ids are hash-consed from the leaves up, in node
+        order; the quotient k + 1 above a node is its letter there in front
+        of the quotient k, and is interned by :meth:`quotient` when first
+        asked.
+        """
+        depth, word = self.depth, self.word
+        keys: dict[tuple, int] = {}
+        chains: list[list[int]] = []
+        for d, kids in zip(depth, self.kids):
+            key = tuple((word[k][d:depth[k]], chains[k][0]) for k in kids.values())
+            chains.append([keys.setdefault(key, len(keys))])
+        return chains
+
+    def quotient(self, v: int, i: int) -> int:
+        """The id of the quotient at depth i on the chain above node v, or at it."""
+        up, lifted, depth = self.chains[v], self.lifted, self.depth[v]
+        while len(up) <= depth - i:
+            key = (self.word[v][depth - len(up)], up[-1])
+            # after every node id: there are no more of those than nodes
+            up.append(lifted.setdefault(key, len(self.depth) + len(lifted)))
+        return up[depth - i]
 
     def suffix_ids(self, seq: ChoiceSequence) -> list[int]:
-        """Ids of ``seq[i:]`` for i = 0..len(seq); ``_ABSENT`` where no state wins it."""
-        get, base, j, out = self.ids.get, self.base, 0, [0]
-        for t in reversed(seq):
-            # outside 0 < t < base the key would alias another pair's
-            j = get(j * base + t, _ABSENT) if 0 < t < base else _ABSENT
+        """Ids of ``seq[i:]`` for i = 0..len(seq); ``_ABSENT`` where no node wins it."""
+        get, base, stride = self.ids.get, self.base, self.n + 1
+        j, out = 0, [0]
+        for length, t in enumerate(reversed(seq), 1):
+            if t != 1:
+                # no node wins a letter outside 2..base - 1, whose key
+                # could name another head
+                j = get((j * stride + length) * base + t, _ABSENT) if 1 < t < base else _ABSENT
             out.append(j)
         out.reverse()
         return out
 
-    def spell(self, i: int) -> ChoiceSequence:
-        cons, base, letters = self.cons, self.base, []
+    def spell(self, i: int, length: int) -> ChoiceSequence:
+        """The sequence of ``length`` letters whose head has id ``i``."""
+        cons, base, stride, letters = self.cons, self.base, self.n + 1, []
         while i:
-            i, t = divmod(cons[i], base)
+            rest, t = divmod(cons[i], base)
+            i, size = divmod(rest, stride)
+            letters += [1] * (length - size)
             letters.append(t)
+            length = size - 1
+        letters += [1] * length
         return tuple(letters)
-
-
-def _collector_paused(build):
-    """Run ``build`` with the cyclic collector off, then leave it as the caller had it.
-
-    Only for builders that form no reference cycle (see the module docstring).
-    """
-
-    @wraps(build)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return build(*args, **kwargs)
-        gc.disable()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            gc.enable()
-
-    return paused
-
-
-def _common_prefix(u: Word, v: Word) -> int:
-    k = 0
-    while u[k] == v[k]:
-        k += 1
-    return k
 
 
 # perfbench passes look up 26 targets (367 calls) or 40 (46 calls); 32 misses as often as no bound
 @lru_cache(maxsize=32)
-@_collector_paused
-def _automaton(target: frozenset[Word]) -> _Automaton:
-    letters = frozenset().union(*target)
-    base = len(letters) + 1
-    delta: list[tuple[tuple[int, int], ...]] = [(), ()]
-    wins: list[frozenset[int]] = [frozenset(), frozenset({0})]
-    # equal winning sets, of any states, become one object
-    interned: dict[frozenset[int], frozenset[int]] = {w: w for w in wins}
-    # Key j * base + t gets the next free id; ids are never reused, so
-    # ``cons`` is the keys of ``ids`` in insertion order after the 0 of ().
+def _trie(target: frozenset[Word]) -> _Trie:
+    n = _target_length(target)
+    # a node has at most |X| children, so it wins no t >= base
+    base, stride = len(target) + 1, n + 1
     ids: dict[int, int] = {}
-    register: dict[tuple[tuple[int, int], ...], int] = {(): _ACCEPT}
+    depth: list[int] = []
+    first: list[Word] = []
+    children: list[dict[int, int]] = []
+    # per node, the id of its unlabelled shape and the winning set it fixes
+    solved: list[tuple[int, frozenset[int]]] = []
+    leaf = (0, frozenset({0}))
+    # unlabelled shape -> (shape id, winning set); the leaf is shape 0
+    shapes: dict[tuple[int, ...], tuple[int, frozenset[int]]] = {(): leaf}
 
-    def state_of(signature: tuple[tuple[int, int], ...]) -> int:
-        # Two trie nodes have the same quotient iff their (letter, child)
-        # pairs agree; the empty signature is the accepting state.
-        state = register.get(signature)
-        if state is None:
-            state = register[signature] = len(delta)
-            delta.append(signature)
+    def close(d: int, word: Word, kids: dict[int, int]) -> int:
+        # The shape is the sorted children's shape ids, each with the length
+        # of the chain down to the child: it fixes the remaining length and
+        # the children's winning sets, so nodes of one shape share one
+        # winning set, solved when the shape is new.
+        shape = tuple(sorted([solved[k][0] * stride + depth[k] - d for k in kids.values()]))
+        known = shapes.get(shape)
+        if known is None:
             # Backward induction: k.b wins iff b wins the quotient game for
-            # at least k distinct first letters; k <= len(signature) < base.
-            if len(signature) == 1:
-                won = [ids.setdefault(beta * base + 1, len(ids) + 1) for beta in wins[signature[0][1]]]
-            else:
-                counts: dict[int, int] = {}
-                for _, q in signature:
-                    for beta in wins[q]:
-                        counts[beta] = counts.get(beta, 0) + 1
-                won = [
-                    ids.setdefault(key, len(ids) + 1)
-                    for beta, k in counts.items()
-                    for key in range(beta * base + 1, beta * base + k + 1)
-                ]
-            won_set = frozenset(won)
-            wins.append(interned.setdefault(won_set, won_set))
-        return state
+            # at least k distinct first letters.  1.b has the id of b, and
+            # t.b for t >= 2 is the head keyed by (t, length, id of b);
+            # k <= len(kids) < base.
+            length = n - d
+            counts = Counter(chain.from_iterable(solved[k][1] for k in kids.values()))
+            won = list(counts)
+            for beta, k in counts.items():
+                key = (beta * stride + length) * base
+                for t in range(2, k + 1):
+                    won.append(ids.setdefault(key + t, len(ids) + 1))
+            known = shapes[shape] = (len(shapes), frozenset(won))
+        depth.append(d)
+        first.append(word)
+        children.append(kids)
+        solved.append(known)
+        return len(depth) - 1
 
-    # Minimise the trie of the sorted target bottom-up by depth.  Its nodes
-    # at depth d are the runs of words sharing a prefix of length d, named
-    # by their first word; the run at depth d + 1 starting at word i opens a
-    # new run at depth d iff words i - 1 and i share fewer than d letters.
-    # Runs come in ascending order, so every signature is already sorted.
+    # Build the trie of the sorted target from the common prefixes of
+    # neighbours, keeping the open nodes on its rightmost path.  Each word's
+    # leaf closes the open nodes deeper than d, the letters it shares with
+    # the next word, and the subtree closed last hangs from the node at
+    # depth d, opened if need be; the last word, with d = -1, closes them all.
     words = sorted(target)
-    common = [-1] + [_common_prefix(u, v) for u, v in zip(words, words[1:])]
-    starts = list(range(len(words)))
-    states = [_ACCEPT] * len(words)
-    for d in reversed(range(_target_length(target))):
-        pairs = [(words[i][d], state) for i, state in zip(starts, states)]
-        cuts = [k for k, i in enumerate(starts) if common[i] < d]
-        starts = [starts[k] for k in cuts]
-        cuts.append(len(pairs))
-        states = [state_of(tuple(pairs[a:b])) for a, b in zip(cuts, cuts[1:])]
-    root = states[0] if states else _DEAD
-    return _Automaton(root, tuple(delta), tuple(wins), letters, base, [0, *ids], ids)
+    # the first index where two neighbours, distinct words of one length, differ
+    common = [next(compress(count(), map(ne, u, v))) for u, v in zip(words, words[1:])]
+    path: list[tuple[int, Word, dict[int, int]]] = []
+    for word, d in zip(words, [*common, -1]):
+        # the word's leaf: shape 0, won by the empty sequence alone
+        last = len(depth)
+        depth.append(n)
+        first.append(word)
+        children.append({})
+        solved.append(leaf)
+        while path and path[-1][0] > d:
+            at, run, kids = path.pop()
+            kids[word[at]] = last
+            last = close(at, run, kids)
+        if d < 0:
+            break
+        if path and path[-1][0] == d:
+            path[-1][2][word[d]] = last
+        else:
+            path.append((d, first[last], {word[d]: last}))
+    wins = [won for _, won in solved]
+    return _Trie(n, depth, first, children, wins, base, [0, *ids], ids)
 
 
 def winning_members(X) -> frozenset[ChoiceSequence]:
     """The winning set of ``X`` as an explicit set of choice sequences."""
-    automaton = _automaton(_as_target(X))
-    return frozenset(map(automaton.spell, automaton.wins[automaton.root]))
+    trie = _trie(_as_target(X))
+    return frozenset(trie.spell(i, trie.n) for i in trie.root_wins)
 
 
 @dataclass(frozen=True)
@@ -250,51 +317,58 @@ def winning_set(X) -> WinningSet:
     target = _as_target(X)
     if not target:
         return WinningSet(0, ())
-    return WinningSet(_target_length(target), _antichain(_checked_automaton(target)))
+    return WinningSet(_target_length(target), _antichain(_checked_trie(target)))
 
 
-def _checked_automaton(target: frozenset[Word]) -> _Automaton:
-    """The solved automaton, once its root wins exactly |X| sequences."""
-    automaton = _automaton(target)
-    size = len(automaton.wins[automaton.root])
+def _checked_trie(target: frozenset[Word]) -> _Trie:
+    """The solved trie, once its root wins exactly |X| sequences."""
+    trie = _trie(target)
+    size = len(trie.root_wins)
     if size != len(target):
         raise InternalConsistencyError(
             f"winning set size {size} differs from target size {len(target)}"
         )
-    return automaton
+    return trie
 
 
-@_collector_paused
-def _antichain(automaton: _Automaton) -> tuple[ChoiceSequence, ...]:
+def _antichain(trie: _Trie) -> tuple[ChoiceSequence, ...]:
     # The root's winning set is downward closed: if a < b for a member b,
     # raising a by one at a position where it lies below b stays <= b, so
     # that raise is a member.  Hence a is maximal iff none of its one-letter
-    # raises is.  The raises of t.j are (t+1).j and t.r for each raise r of
-    # j.  A raise that wins the root has all its suffixes interned, so only
-    # interned raises matter; every id comes after its tail, so one sweep
-    # over ``cons`` finds each id's interned raises.  The key of (t+1).j is
-    # one more than that of t.j; for t + 1 = base it reads t = 0 of the next
-    # tail, which is never interned, so it is absent as it should be.
-    get, base, wins = automaton.ids.get, automaton.base, automaton.wins[automaton.root]
+    # raises is.  A raise that wins the root has all its suffixes interned,
+    # so only interned raises matter.  The raises of the head t.1^r.h are
+    # (t+1).1^r.h, t.1^p.2.1^(r-p-1).h for p < r, and t.1^r.g for each
+    # raise g of h: the middle ones are t put before an interned head 2.1^q.h
+    # shorter than the head, listed per h in ``twos``.  A member 1^m.h of
+    # the root raises one of its leading 1s to every interned 2.1^q.h.
+    # Keys are packed as in ``_Trie``: the key of t.1^r.g is
+    # (g * stride + length) * base + t, and key + 1 is (t+1).1^r.h, whose
+    # key when t + 1 == base has t = 0 and names no head.
+    get, cons, wins = trie.ids.get, trie.cons, trie.root_wins
+    base, stride = trie.base, trie.n + 1
+    heads = [(t, *divmod(rest, stride)) for rest, t in (divmod(key, base) for key in cons)]
+    twos: dict[int, list[tuple[int, int]]] = {}
+    for i, (t, j, length) in enumerate(heads):
+        if t == 2:
+            twos.setdefault(j, []).append((length, i))
     raises: list[list[int]] = [[]]
-    for key in automaton.cons[1:]:
-        j, t = divmod(key, base)
-        below = raises[j]
-        # most ids have no raise below them: build no list for those
-        up = [i for i in map(get, [r * base + t for r in below]) if i is not None] if below else []
-        i = get(key + 1)
-        if i is not None:
-            up.append(i)
-        raises.append(up)
+    for key, (t, j, length) in zip(cons[1:], heads[1:]):
+        up = [(g * stride + length) * base + t for g in raises[j]]
+        up += [(k * stride + length) * base + t for size, k in twos.get(j, ()) if size < length]
+        up.append(key + 1)
+        raises.append([i for i in map(get, up) if i is not None])
     return tuple(sorted(
-        automaton.spell(a) for a in wins if not any(r in wins for r in raises[a])
+        trie.spell(a, trie.n)
+        for a in wins
+        if not any(r in wins for r in raises[a])
+        and not any(k in wins for _, k in twos.get(a, ()))
     ))
 
 
 def winning_set_cardinality(X) -> int:
     """Size of the winning set; always equals the target size."""
     target = _as_target(X)
-    _checked_automaton(target)
+    _checked_trie(target)
     return len(target)
 
 
@@ -308,11 +382,11 @@ def max_first_choice(X, u, alphabet_size: int | None = None) -> tuple[int, tuple
     u = tuple(u)
     if target and len(u) != _target_length(target) - 1:
         raise PreconditionError("suffix must be one letter shorter than the target words")
-    automaton = _automaton(target)
-    size = _infer_alphabet(automaton.letters, alphabet_size)
-    suffix = automaton.suffix_ids(u)[0]
-    kids = dict(automaton.delta[automaton.root])
-    winners = tuple(c for c in range(size) if suffix in automaton.wins[kids.get(c, _DEAD)])
+    trie = _trie(target)
+    size = _infer_alphabet(trie.letters, alphabet_size)
+    suffix = trie.suffix_ids(u)[0]
+    kids = trie.live(trie.root, 0)
+    winners = tuple(c for c in range(size) if c in kids and suffix in trie.wins[kids[c]])
     return len(winners), winners
 
 
@@ -320,12 +394,12 @@ def suffix_first_letters(X) -> dict[ChoiceSequence, tuple[int, ...]]:
     """Each suffix u with some k.u winning -> the letters c, ascending, whose
     quotient game after c wins u: :func:`max_first_choice` for every suffix
     at once, read off the root's children."""
-    automaton = _automaton(_as_target(X))
+    trie = _trie(_as_target(X))
     letters: dict[int, list[int]] = {}
-    for c, child in automaton.delta[automaton.root]:
-        for beta in automaton.wins[child]:
+    for c, child in trie.live(trie.root, 0).items():
+        for beta in trie.wins[child]:
             letters.setdefault(beta, []).append(c)
-    return {automaton.spell(beta): tuple(cs) for beta, cs in letters.items()}
+    return {trie.spell(beta, trie.n - 1): tuple(cs) for beta, cs in letters.items()}
 
 
 def _same_certificate(self, other) -> bool:
@@ -406,75 +480,78 @@ def member(X, alpha, alphabet_size: int | None = None) -> MemberResult:
     """Decide whether Alice wins with ``alpha`` and certify the answer."""
     target = _as_target(X)
     alpha = tuple(alpha)
-    automaton = _automaton(target)
-    size = _infer_alphabet(automaton.letters, alphabet_size)
+    trie = _trie(target)
+    size = _infer_alphabet(trie.letters, alphabet_size)
     _check_choices(target, alpha, size)
-    suffixes = automaton.suffix_ids(alpha)
-    if suffixes[0] in automaton.wins[automaton.root]:
-        return MemberResult(True, strategy=_strategy(automaton, alpha, suffixes))
-    return MemberResult(False, refutation=_refutation(automaton, alpha, suffixes, size))
+    suffixes = trie.suffix_ids(alpha)
+    if suffixes[0] in trie.root_wins:
+        return MemberResult(True, strategy=_strategy(trie, alpha, suffixes))
+    return MemberResult(False, refutation=_refutation(trie, alpha, suffixes, size))
 
 
-@_collector_paused
-def _strategy(automaton: _Automaton, alpha: ChoiceSequence, suffixes: list[int]) -> StrategyTree:
+def _strategy(trie: _Trie, alpha: ChoiceSequence, suffixes: list[int]) -> StrategyTree:
     # Deterministic extraction: offer the lexicographically least subset
-    # of letters whose quotient game stays winning.  Nodes are filled from
-    # a stack, so long games do not recurse.  ``suffixes[i]`` is the id of
-    # ``alpha[i:]``.
-    wins = automaton.wins
+    # of letters whose quotient game stays winning.  On a chain that is its
+    # one letter, and a winning sequence plays 1 there.  Nodes are filled
+    # from a stack, so long games do not recurse.  ``suffixes[i]`` is the
+    # id of ``alpha[i:]``.
+    depth, word, wins = trie.depth, trie.word, trie.wins
     root = StrategyTree(())
-    stack = [(root, automaton.root, 0)]
+    stack = [(root, trie.root, 0)]
     while stack:
-        node, state, i = stack.pop()
+        node, at, i = stack.pop()
+        while i < depth[at]:
+            if alpha[i] != 1:
+                raise InternalConsistencyError("strategy extraction on a losing sequence")
+            c, child = word[at][i], StrategyTree(())
+            node.offer, node.children[c] = (c,), child
+            node, i = child, i + 1
         if i == len(alpha):
             continue
         rest = suffixes[i + 1]
         offer: list[tuple[int, int]] = []
-        for c, child in automaton.delta[state]:
-            if rest in wins[child]:
-                offer.append((c, child))
+        for c, kid in trie.kids[at].items():
+            if rest in wins[kid]:
+                offer.append((c, kid))
                 if len(offer) == alpha[i]:
                     break
         if len(offer) < alpha[i]:
             raise InternalConsistencyError("strategy extraction on a losing sequence")
         node.offer = tuple(c for c, _ in offer)
-        for c, child in offer:
+        for c, kid in offer:
             node.children[c] = StrategyTree(())
-            stack.append((node.children[c], child, i + 1))
+            stack.append((node.children[c], kid, i + 1))
     return root
 
 
-@_collector_paused
 def _refutation(
-    automaton: _Automaton, alpha: ChoiceSequence, suffixes: list[int], size: int
+    trie: _Trie, alpha: ChoiceSequence, suffixes: list[int], size: int
 ) -> Refutation:
-    # Bob answers each offer with its first dead letter, one with no
-    # transition from the state, if it holds one: the play has then left
-    # the target whatever follows, since wins[_DEAD] is empty.  Only when
-    # every offered letter is live does he pick the first one whose
-    # quotient game loses the rest.  Nodes are shared per (state, round):
-    # the round fixes the rest of alpha, so this is the memo on (quotient,
-    # rest of alpha).  A state other than _DEAD lies at one depth, so it
-    # fixes its round and keys its node alone; the dead node of round i is
-    # keyed -i.  Each (letter, node) answer is one tuple, keyed
-    # ``node key * size + letter``.
-    wins = automaton.wins
+    # Bob answers each offer with its first dead letter, one that leaves
+    # the target, if it holds one: the play has then left the target
+    # whatever follows.  Only when every offered letter is live does he pick
+    # the first one whose quotient game loses the rest.  Nodes are shared
+    # per (quotient, round): the round fixes the rest of alpha.  A live
+    # position is keyed by its quotient's id from ``trie.chains``, which
+    # fixes its round as well; the dead node of round i is keyed -i.  Each
+    # (letter, node) answer is one tuple, keyed ``node key * size + letter``.
+    chains, depth, wins = trie.chains, trie.depth, trie.wins
     offers = {k: tuple(combinations(range(size), k)) for k in set(alpha)}
     root = Refutation({})
-    nodes = {automaton.root: root}
+    nodes: dict[int, Refutation] = {}
     answers: dict[int, tuple[int, Refutation]] = {}
-    pending = [(root, automaton.root, 0)]
+    pending = [(root, trie.root, 0)]
     while pending:
-        node, state, i = pending.pop()
+        node, at, i = pending.pop()
         if i == len(alpha):
-            if state != _DEAD:
+            if at is not None:
                 raise InternalConsistencyError("refutation requested for a won empty game")
             continue
-        rest, kids = suffixes[i + 1], dict(automaton.delta[state])
+        rest, kids = suffixes[i + 1], trie.live(at, i)
         for offered in offers[alpha[i]]:
             for c in offered:
                 if c not in kids:
-                    child = _DEAD
+                    child, key = None, -i - 1
                     break
             else:
                 for c in offered:
@@ -483,14 +560,15 @@ def _refutation(
                         break
                 else:
                     raise InternalConsistencyError("refutation requested for a winning sequence")
-            at = child or -i - 1
-            answer = answers.get(at * size + c)
+                up, k = chains[child], depth[child] - i - 1
+                key = up[k] if k < len(up) else trie.quotient(child, i + 1)
+            answer = answers.get(key * size + c)
             if answer is None:
-                after = nodes.get(at)
+                after = nodes.get(key)
                 if after is None:
-                    after = nodes[at] = Refutation({})
+                    after = nodes[key] = Refutation({})
                     pending.append((after, child, i + 1))
-                answer = answers[at * size + c] = (c, after)
+                answer = answers[key * size + c] = (c, after)
             node.responses[offered] = answer
     return root
 

@@ -21,8 +21,9 @@ class Substitution:
     """A substitution given by one image word per letter.
 
     Letters are ``0..size-1`` with ``size = len(images)``.  Instances
-    compare and hash by their images; the classification flags are
-    derived lazily and cached on first use.
+    compare and hash by their images; the hash is computed once, since every
+    memo keyed by a substitution hashes it on each lookup, and the
+    classification flags are derived lazily and cached on first use.
     """
 
     images: tuple[Word, ...]
@@ -43,6 +44,10 @@ class Substitution:
                     )
         if {len(img) for img in self.images} == {1}:
             raise ConstructionError("uniform substitutions must have image length >= 2")
+        object.__setattr__(self, "_hash", hash(self.images))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:

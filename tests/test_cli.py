@@ -314,18 +314,18 @@ def test_verify_check_that_raises_is_a_failed_row(capsys, monkeypatch):
     import winshift.game as game
     from winshift.errors import InternalConsistencyError
 
-    solved = game._automaton
+    solved = game._trie
 
     def one_short(target):
         # the solver loses one winning sequence of length 3 at the root
-        automaton = solved(target)
+        trie = solved(target)
         if len(next(iter(target))) != 3:
-            return automaton
-        wins = list(automaton.wins)
-        wins[automaton.root] -= {automaton.suffix_ids((1, 1, 1))[0]}
-        return replace(automaton, wins=tuple(wins))
+            return trie
+        wins = list(trie.wins)
+        wins[trie.root] -= {trie.suffix_ids((1, 1, 1))[0]}
+        return replace(trie, wins=wins)
 
-    monkeypatch.setattr(game, "_automaton", one_short)
+    monkeypatch.setattr(game, "_trie", one_short)
     try:
         code, out = run(capsys, "verify", "--subst", "tm", "--depth", "5")
     finally:
@@ -341,7 +341,7 @@ def test_verify_check_that_raises_is_a_failed_row(capsys, monkeypatch):
     def broken(subst, alpha):
         raise InternalConsistencyError("body length must be a block multiple")
 
-    monkeypatch.setattr(game, "_automaton", solved)
+    monkeypatch.setattr(game, "_trie", solved)
     monkeypatch.setattr(cli.shift, "verify_form", broken)
     code, out = run(capsys, "verify", "--subst", "ex42", "--depth", "5")
     lines = out.splitlines()

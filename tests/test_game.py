@@ -2,7 +2,8 @@ import gc
 import time
 from dataclasses import replace
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, count, product
+from operator import ne
 
 import pytest
 from conftest import random_marked
@@ -16,6 +17,7 @@ from winshift import (
     PreconditionError,
     branch_profile,
     branch_rounds,
+    builtin_substitution,
     is_irreducible,
     language,
     max_first_choice,
@@ -192,13 +194,13 @@ def test_winning_set_spells_only_the_maximal_sequences(tm, monkeypatch):
     import winshift.game as game
 
     spelled = []
-    spell = game._Automaton.spell
+    spell = game._Trie.spell
 
-    def counted(automaton, i):
+    def counted(trie, i, length):
         spelled.append(i)
-        return spell(automaton, i)
+        return spell(trie, i, length)
 
-    monkeypatch.setattr(game._Automaton, "spell", counted)
+    monkeypatch.setattr(game._Trie, "spell", counted)
     X = language(tm, 12).words
     assert winning_set_cardinality(X) == len(X)
     assert spelled == []
@@ -272,18 +274,28 @@ def test_member_agrees_with_winning_set(case, raw):
         assert not (refutation_plays(outcome.refutation) & X)
 
 
+def test_letters_past_the_key_base_win_nothing():
+    # Head keys pack the letter t below a base of |X| + 1 = 3 here; 5 at
+    # length 1 would pack to the key of 2 at length 2, which the root wins.
+    X = frozenset({(0, 0), (1, 1)})
+    assert member(X, (2, 1)).win
+    for alpha in [(1, 3), (1, 5), (1, 8), (3, 1), (5, 1)]:
+        assert not member(X, alpha, alphabet_size=8).win, alpha
+    assert max_first_choice(X, (5,), alphabet_size=8) == (0, ())
+
+
 def test_cardinality_mismatch_is_internal_error(monkeypatch):
     import winshift.game as game
 
-    solved = game._automaton
+    solved = game._trie
 
     def no_root_wins(target):
-        automaton = solved(target)
-        wins = list(automaton.wins)
-        wins[automaton.root] = frozenset()
-        return replace(automaton, wins=tuple(wins))
+        trie = solved(target)
+        wins = list(trie.wins)
+        wins[trie.root] = frozenset()
+        return replace(trie, wins=wins)
 
-    monkeypatch.setattr(game, "_automaton", no_root_wins)
+    monkeypatch.setattr(game, "_trie", no_root_wins)
     with pytest.raises(InternalConsistencyError):
         game.winning_set_cardinality(frozenset({(0,)}))
 
@@ -328,7 +340,7 @@ def test_long_target_does_not_recurse():
 
 # Reference solver: backward induction recursing on quotient frozensets,
 # memoized on the quotient itself.  The library solves the same games on
-# the minimal automaton of the target; both must agree exactly.
+# the compacted trie of the target; both must agree exactly.
 
 
 @lru_cache(maxsize=None)
@@ -483,6 +495,98 @@ def test_long_antichains_match_the_slicing_reference(name, request):
         assert winning_set(X).maximal == slicing_antichain(winning_members(X)), n
 
 
+def minimal_automaton_solution(target):
+    """The winning set, its maximal members and a membership test, solved on
+    the minimal acyclic automaton of the target, the solver's former method.
+
+    States are the distinct left quotients, minimised bottom-up by depth
+    from the trie of the sorted target, and each state's winning set is
+    solved once.  Winning sets hold hash-consed ids: the sequence t.j is
+    keyed ``j * base + t``.  A member is maximal iff none of its interned
+    one-letter raises wins; the raises of t.j are (t+1).j and t.r for each
+    raise r of j.
+    """
+    base = len(frozenset().union(*target)) + 1
+    wins = [frozenset(), frozenset({0})]
+    ids, register = {}, {(): 1}
+
+    def state_of(signature):
+        state = register.get(signature)
+        if state is None:
+            state = register[signature] = len(wins)
+            if len(signature) == 1:
+                won = [ids.setdefault(beta * base + 1, len(ids) + 1) for beta in wins[signature[0][1]]]
+            else:
+                counts = {}
+                for _, q in signature:
+                    for beta in wins[q]:
+                        counts[beta] = counts.get(beta, 0) + 1
+                won = [
+                    ids.setdefault(key, len(ids) + 1)
+                    for beta, k in counts.items()
+                    for key in range(beta * base + 1, beta * base + k + 1)
+                ]
+            wins.append(frozenset(won))
+        return state
+
+    words = sorted(target)
+    common = [-1] + [next(compress(count(), map(ne, u, v))) for u, v in zip(words, words[1:])]
+    starts, states = list(range(len(words))), [1] * len(words)
+    for d in reversed(range(len(words[0]) if words else 0)):
+        pairs = [(words[i][d], state) for i, state in zip(starts, states)]
+        cuts = [k for k, i in enumerate(starts) if common[i] < d]
+        starts = [starts[k] for k in cuts]
+        cuts.append(len(pairs))
+        states = [state_of(tuple(pairs[a:b])) for a, b in zip(cuts, cuts[1:])]
+    root, cons = wins[states[0]] if states else frozenset(), [0, *ids]
+
+    def spell(i):
+        letters = []
+        while i:
+            i, t = divmod(cons[i], base)
+            letters.append(t)
+        return tuple(letters)
+
+    def wins_root(alpha):
+        j = 0
+        for t in reversed(alpha):
+            j = ids.get(j * base + t, -1) if 0 < t < base else -1
+        return j in root
+
+    raises = [[]]
+    for key in cons[1:]:
+        j, t = divmod(key, base)
+        raises.append([i for i in map(ids.get, [r * base + t for r in raises[j]] + [key + 1]) if i])
+    maximal = tuple(sorted(spell(a) for a in root if not any(r in root for r in raises[a])))
+    return frozenset(map(spell, root)), maximal, wins_root
+
+
+def test_trie_matches_the_minimal_automaton(tm, ex42, ex46):
+    # dense cubes, where nodes of one shape share a winning set, and long
+    # languages, where chains are long
+    cases = [
+        (frozenset(product((0, 1), repeat=14)), 3),
+        (frozenset(product((0, 1, 2), repeat=8)), 4),
+        *(
+            (language(subst, n).words, subst.size)
+            for subst, n in (
+                (tm, 200), (ex46, 120), (ex42, 100),
+                (builtin_substitution("gtm:3,3"), 45), (builtin_substitution("gtm:2,5"), 60),
+            )
+        ),
+    ]
+    for X, size in cases:
+        members, maximal, wins = minimal_automaton_solution(X)
+        assert winning_members(X) == members
+        assert winning_set(X).maximal == maximal
+        # the least and the greatest maximal member, and the least raised at
+        # its first and last letter where the alphabet allows
+        m, n = maximal[0], len(maximal[0])
+        raised = [m[:i] + (m[i] + 1,) + m[i + 1:] for i in {0, n - 1} if m[i] < size]
+        for alpha in [m, maximal[-1], *raised]:
+            assert member(X, alpha, alphabet_size=size).win == wins(alpha), alpha
+
+
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
 def collector(request):
     """The cyclic collector left on or off by the caller; restored afterwards."""
@@ -497,12 +601,12 @@ def collector(request):
 def test_solver_leaves_the_collector_as_it_found_it(collector):
     import winshift.game as game
 
-    # a target no other test or parameter builds, so its automaton is cold
+    # a target no other test or parameter builds, so its trie is cold
     top = 7 if collector else 8
     X = frozenset(product((0, top), repeat=6)) - {(top,) * 6}
-    misses = game._automaton.cache_info().misses
-    game._automaton(X)
-    assert game._automaton.cache_info().misses == misses + 1
+    misses = game._trie.cache_info().misses
+    game._trie(X)
+    assert game._trie.cache_info().misses == misses + 1
     assert gc.isenabled() == collector
     assert len(winning_set(X).maximal) > 1 and gc.isenabled() == collector
     assert member(X, (2,) * 5 + (1,)).win and gc.isenabled() == collector
@@ -513,13 +617,13 @@ def test_a_failing_builder_restores_the_collector(collector):
     import winshift.game as game
 
     X = frozenset({(0, 0), (1, 1)})
-    automaton = game._automaton(X)
+    trie = game._trie(X)
     winning, losing = (2, 1), (2, 2)
     with pytest.raises(InternalConsistencyError, match="winning sequence"):
-        game._refutation(automaton, winning, automaton.suffix_ids(winning), 2)
+        game._refutation(trie, winning, trie.suffix_ids(winning), 2)
     assert gc.isenabled() == collector
     with pytest.raises(InternalConsistencyError, match="losing sequence"):
-        game._strategy(automaton, losing, automaton.suffix_ids(losing))
+        game._strategy(trie, losing, trie.suffix_ids(losing))
     assert gc.isenabled() == collector
 
 
@@ -527,11 +631,13 @@ def test_equal_winning_sets_are_one_object_and_ids_are_untracked(tm):
     import winshift.game as game
 
     for n in (8, 30):
-        automaton = game._automaton(language(tm, n).words)
-        wins = automaton.wins
+        trie = game._trie(language(tm, n).words)
+        wins = trie.wins
         assert len({id(w) for w in wins}) == len(set(wins)) < len(wins)
-        # ints to ints: the cyclic collector never scans the pair index
-        assert not gc.is_tracked(automaton.ids)
+        # ints to ints: the cyclic collector never scans the pair index,
+        # nor a node's children
+        assert not gc.is_tracked(trie.ids)
+        assert not any(map(gc.is_tracked, trie.kids))
 
 
 def test_equal_answers_of_a_refutation_are_one_tuple(tm):
@@ -575,7 +681,7 @@ def test_solver_memo_keeps_at_most_32_targets():
 
     for X in _distinct_targets(40, 9):
         winning_set_cardinality(X)
-    assert game._automaton.cache_info().currsize <= 32
+    assert game._trie.cache_info().currsize <= 32
 
 
 def test_an_evicted_target_solves_the_same_again():
@@ -591,9 +697,9 @@ def test_an_evicted_target_solves_the_same_again():
     assert before[1].win and not before[2].win
     for Y in _distinct_targets(40, 12):
         winning_set_cardinality(Y)
-    misses = game._automaton.cache_info().misses
+    misses = game._trie.cache_info().misses
     assert answers() == before
-    assert game._automaton.cache_info().misses == misses + 1  # X was solved afresh
+    assert game._trie.cache_info().misses == misses + 1  # X was solved afresh
 
 
 # Certificates on long games and malformed input: no recursion, no expansion

@@ -61,6 +61,18 @@ def test_construction_errors():
         make_substitution([(0, 1), (1, 0)], alphabet_size=3)
 
 
+def test_equal_substitutions_hash_alike_and_share_a_cache_entry():
+    from winshift.substitution import _level_blocks
+
+    images = [(1, 0, 0, 0, 1), (0, 1, 1, 1, 0)]  # no other test builds these
+    a, b = make_substitution(images), make_substitution(images)
+    assert a is not b and a == b and hash(a) == hash(b)
+    misses = _level_blocks.cache_info().misses
+    blocks = _level_blocks(a, 0)
+    assert _level_blocks(b, 0) is blocks
+    assert _level_blocks.cache_info().misses == misses + 1
+
+
 def test_nonuniform_construction_is_allowed():
     subst = make_substitution([(0, 1), (0,)])
     assert not subst.uniform
